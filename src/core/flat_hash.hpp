@@ -22,12 +22,22 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/chained_hash.hpp"  // mix_key
 #include "mp/collectives.hpp"
 #include "mp/comm.hpp"
 #include "util/memory_meter.hpp"
 
 namespace scalparc::core {
+
+// 64-bit finalizer (SplitMix64's mixer): scatters arbitrary keys uniformly
+// over the bucket space.
+constexpr std::uint64_t mix_key(std::uint64_t key) {
+  key ^= key >> 30;
+  key *= 0xBF58476D1CE4E5B9ULL;
+  key ^= key >> 27;
+  key *= 0x94D049BB133111EBULL;
+  key ^= key >> 31;
+  return key;
+}
 
 template <mp::WireType V>
 class DistributedFlatHashTable {

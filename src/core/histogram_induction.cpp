@@ -108,7 +108,8 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   if (total_records == 0) {
     throw std::invalid_argument("induce_tree_quantized: empty training set");
   }
-  if (options.max_depth < 0 || options.min_split_records < 2) {
+  if (options.max_depth < 0 || options.min_split_records < 2 ||
+      !(options.min_gini_improvement >= 0.0)) {
     throw std::invalid_argument("induce_tree_quantized: bad options");
   }
   if (bins < 2) {
@@ -281,7 +282,6 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     capability.fingerprint = fp;
     capability.total_records = static_cast<std::int64_t>(total_records);
     capability.num_attributes = static_cast<std::int32_t>(num_cont + num_cat);
-    capability.layout = options.layout == DataLayout::kSoA ? 1 : 0;
     (void)mp::join_handshake(comm, capability);
 
     result.tree = checkpoint_read_tree(level_dir, manifest);

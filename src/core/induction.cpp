@@ -26,7 +26,7 @@
 #include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
 #include "mp/telemetry.hpp"
-#include "sort/rebalance.hpp"
+#include "sort/partition_util.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/arena.hpp"
 #include "util/trace.hpp"
@@ -58,29 +58,23 @@ struct RightmostOp {
   }
 };
 
-// Exactly one of `entries` (DataLayout::kAoS) or `cols` (kSoA) holds the
-// list; the layout flag chosen at induction start selects which, and every
-// consumer branches on it. `cols_next` is the SoA regroup double-buffer:
-// PerformSplitII writes the next level's layout into it and swaps, so its
-// vectors' capacity is reused and steady-state levels allocate nothing.
+// Attribute lists live as structure-of-arrays columns. `cols_next` is the
+// regroup double-buffer: PerformSplitII writes the next level's layout into
+// it and swaps, so its vectors' capacity is reused and steady-state levels
+// allocate nothing.
 struct ContList {
   int attribute = -1;
-  std::vector<ContinuousEntry> entries;
   ContinuousColumns cols;
   ContinuousColumns cols_next;
   std::vector<std::size_t> offsets;  // per-active-node segment bounds
   std::vector<std::int32_t> child;   // per-entry child slot (split phases)
   util::ScopedAllocation mem;
-  std::size_t size(bool soa) const {
-    return soa ? cols.size() : entries.size();
-  }
 };
 
 struct CatList {
   int attribute = -1;
   std::int32_t cardinality = 0;
   int coordinator = 0;  // rank that reduces/owns this attribute's matrices
-  std::vector<CategoricalEntry> entries;
   CategoricalColumns cols;
   CategoricalColumns cols_next;
   std::vector<std::size_t> offsets;
@@ -89,18 +83,7 @@ struct CatList {
   // Coordinator-only: this level's global count matrices, laid out
   // [active node][value][class].
   std::vector<std::int64_t> global_counts;
-  std::size_t size(bool soa) const {
-    return soa ? cols.size() : entries.size();
-  }
 };
-
-template <typename Entry>
-std::span<const Entry> segment_of(const std::vector<Entry>& entries,
-                                  const std::vector<std::size_t>& offsets,
-                                  std::size_t node) {
-  return std::span<const Entry>(entries.data() + offsets[node],
-                                offsets[node + 1] - offsets[node]);
-}
 
 }  // namespace
 
@@ -125,7 +108,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                  controls);
   }
   if (options.max_depth < 0 || options.min_split_records < 2 ||
-      options.node_table_update_block < 0) {
+      options.node_table_update_block < 0 ||
+      !(options.min_gini_improvement >= 0.0)) {
     throw std::invalid_argument("induce_tree_distributed: bad options");
   }
 
@@ -158,7 +142,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   // -------------------------------------------------------------------------
   // Build the local fragments of all attribute lists.
   // -------------------------------------------------------------------------
-  const bool soa = options.layout == DataLayout::kSoA;
   std::vector<ContList> cont_lists;
   std::vector<CatList> cat_lists;
   for (int a = 0; a < schema.num_attributes(); ++a) {
@@ -166,11 +149,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       ContList list;
       list.attribute = a;
       if (!resuming) {
-        if (soa) {
-          list.cols = data::build_continuous_columns(local_block, a, first_rid);
-        } else {
-          list.entries = data::build_continuous_list(local_block, a, first_rid);
-        }
+        list.cols = data::build_continuous_columns(local_block, a, first_rid);
       }
       cont_lists.push_back(std::move(list));
     } else {
@@ -179,11 +158,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       list.cardinality = schema.attribute(a).cardinality;
       list.coordinator = a % p;
       if (!resuming) {
-        if (soa) {
-          list.cols = data::build_categorical_columns(local_block, a, first_rid);
-        } else {
-          list.entries = data::build_categorical_list(local_block, a, first_rid);
-        }
+        list.cols = data::build_categorical_columns(local_block, a, first_rid);
       }
       cat_lists.push_back(std::move(list));
     }
@@ -198,27 +173,17 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     const std::vector<std::size_t> equal_sizes =
         sort::equal_partition_sizes(total_records, p);
     for (ContList& list : cont_lists) {
-      if (soa) {
-        list.cols = sort::sample_sort_columns(comm, std::move(list.cols));
-        list.cols = sort::rebalance_columns(comm, std::move(list.cols),
-                                            equal_sizes);
-        list.mem = util::ScopedAllocation(comm.meter(),
-                                          util::MemCategory::kAttributeLists,
-                                          list.cols.size_bytes());
-      } else {
-        list.entries = sort::sample_sort(comm, std::move(list.entries),
-                                         data::ContinuousEntryLess{});
-        list.entries = sort::rebalance(comm, std::move(list.entries), equal_sizes);
-        list.mem = util::ScopedAllocation(comm.meter(),
-                                          util::MemCategory::kAttributeLists,
-                                          list.entries.size() * sizeof(ContinuousEntry));
-      }
+      list.cols = sort::sample_sort_columns(comm, std::move(list.cols));
+      list.cols = sort::rebalance_columns(comm, std::move(list.cols),
+                                          equal_sizes);
+      list.mem = util::ScopedAllocation(comm.meter(),
+                                        util::MemCategory::kAttributeLists,
+                                        list.cols.size_bytes());
     }
     for (CatList& list : cat_lists) {
-      list.mem = util::ScopedAllocation(
-          comm.meter(), util::MemCategory::kAttributeLists,
-          soa ? list.cols.size_bytes()
-              : list.entries.size() * sizeof(CategoricalEntry));
+      list.mem = util::ScopedAllocation(comm.meter(),
+                                        util::MemCategory::kAttributeLists,
+                                        list.cols.size_bytes());
     }
     stats.presort_seconds = comm.vtime();
 
@@ -255,8 +220,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       active.push_back(std::move(node));
     }
 
-    for (ContList& list : cont_lists) list.offsets = {0, list.size(soa)};
-    for (CatList& list : cat_lists) list.offsets = {0, list.size(soa)};
+    for (ContList& list : cont_lists) list.offsets = {0, list.cols.size()};
+    for (CatList& list : cat_lists) list.offsets = {0, list.cols.size()};
   } else {
     // -----------------------------------------------------------------------
     // Resume: restore the last complete level checkpoint instead of deriving
@@ -317,7 +282,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     capability.total_records = static_cast<std::int64_t>(total_records);
     capability.num_attributes =
         static_cast<std::int32_t>(cont_lists.size() + cat_lists.size());
-    capability.layout = soa ? 1 : 0;
     (void)mp::join_handshake(comm, capability);
 
     result.tree = checkpoint_read_tree(level_dir, manifest);
@@ -342,6 +306,16 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       active.push_back(std::move(node));
     }
 
+    // Checkpoint sections are AoS entries; the columns are rebuilt on the
+    // way in.
+    const auto install = [&](auto& list, const auto& entries,
+                             std::vector<std::size_t> offsets) {
+      list.offsets = std::move(offsets);
+      list.cols = data::columns_from_entries(std::span(entries));
+      list.mem = util::ScopedAllocation(comm.meter(),
+                                        util::MemCategory::kAttributeLists,
+                                        list.cols.size_bytes());
+    };
     if (!repartition) {
       CheckpointRankReader reader(level_dir, comm.rank());
       const auto restore_offsets = [&](std::vector<std::uint64_t> raw,
@@ -355,40 +329,20 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         return offsets;
       };
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
-        ContList& list = cont_lists[li];
         const std::string tag = "cont" + std::to_string(li);
-        // Checkpoint sections are always AoS entries (the layouts share one
-        // on-disk format); under SoA convert on the way in.
-        list.entries = reader.read_section<ContinuousEntry>(tag);
-        list.offsets = restore_offsets(
-            reader.read_section<std::uint64_t>(tag + "_off"), list.entries.size());
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const ContinuousEntry>(list.entries));
-          list.entries.clear();
-          list.entries.shrink_to_fit();
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(ContinuousEntry));
+        const std::vector<ContinuousEntry> entries =
+            reader.read_section<ContinuousEntry>(tag);
+        install(cont_lists[li], entries,
+                restore_offsets(reader.read_section<std::uint64_t>(tag + "_off"),
+                                entries.size()));
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
-        CatList& list = cat_lists[li];
         const std::string tag = "cat" + std::to_string(li);
-        list.entries = reader.read_section<CategoricalEntry>(tag);
-        list.offsets = restore_offsets(
-            reader.read_section<std::uint64_t>(tag + "_off"), list.entries.size());
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const CategoricalEntry>(list.entries));
-          list.entries.clear();
-          list.entries.shrink_to_fit();
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(CategoricalEntry));
+        const std::vector<CategoricalEntry> entries =
+            reader.read_section<CategoricalEntry>(tag);
+        install(cat_lists[li], entries,
+                restore_offsets(reader.read_section<std::uint64_t>(tag + "_off"),
+                                entries.size()));
       }
     } else {
       // Shrink/grow restore: repartition every list written by
@@ -396,47 +350,22 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       // node's globally sorted segment (see core/elastic_restore.hpp). The
       // node table below is rebuilt for the current world every run, so its
       // shard moves implicitly.
+      const std::span<const double> weights =
+          weighted ? std::span<const double>(controls.checkpoint.rank_weights)
+                   : std::span<const double>{};
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
-        ContList& list = cont_lists[li];
         RestoredList<ContinuousEntry> restored =
             elastic_restore_list<ContinuousEntry>(
-                comm, level_dir, manifest.ranks,
-                "cont" + std::to_string(li), active.size(),
-                weighted ? std::span<const double>(
-                               controls.checkpoint.rank_weights)
-                         : std::span<const double>{});
-        list.offsets = std::move(restored.offsets);
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const ContinuousEntry>(restored.entries));
-        } else {
-          list.entries = std::move(restored.entries);
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(ContinuousEntry));
+                comm, level_dir, manifest.ranks, "cont" + std::to_string(li),
+                active.size(), weights);
+        install(cont_lists[li], restored.entries, std::move(restored.offsets));
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
-        CatList& list = cat_lists[li];
         RestoredList<CategoricalEntry> restored =
             elastic_restore_list<CategoricalEntry>(
-                comm, level_dir, manifest.ranks,
-                "cat" + std::to_string(li), active.size(),
-                weighted ? std::span<const double>(
-                               controls.checkpoint.rank_weights)
-                         : std::span<const double>{});
-        list.offsets = std::move(restored.offsets);
-        if (soa) {
-          list.cols = data::columns_from_entries(
-              std::span<const CategoricalEntry>(restored.entries));
-        } else {
-          list.entries = std::move(restored.entries);
-        }
-        list.mem = util::ScopedAllocation(
-            comm.meter(), util::MemCategory::kAttributeLists,
-            soa ? list.cols.size_bytes()
-                : list.entries.size() * sizeof(CategoricalEntry));
+                comm, level_dir, manifest.ranks, "cat" + std::to_string(li),
+                active.size(), weights);
+        install(cat_lists[li], restored.entries, std::move(restored.offsets));
       }
     }
     level_index = latest;
@@ -526,8 +455,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                          1);
   std::vector<std::uint64_t> ckpt_offsets_scratch;
   std::vector<std::int64_t> ckpt_active_scratch;
-  // Checkpoint sections stay AoS entries in both layouts; under SoA the
-  // columns are widened into these scratch buffers at write time.
+  // Checkpoint sections are AoS entries: the columns are widened into these
+  // scratch buffers at write time.
   std::vector<ContinuousEntry> ckpt_cont_scratch;
   std::vector<CategoricalEntry> ckpt_cat_scratch;
   // Per-level arena for the variable-size regroup scratch (segment size /
@@ -572,26 +501,15 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       };
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         const std::string tag = "cont" + std::to_string(li);
-        if (soa) {
-          // The on-disk format is AoS entries under either layout, so
-          // checkpoint files are byte-identical across layouts and a
-          // checkpoint written under one resumes under the other.
-          data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
-          writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
-        } else {
-          writer.write_section<ContinuousEntry>(tag, cont_lists[li].entries);
-        }
+        data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
+        writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
         writer.write_section<std::uint64_t>(tag + "_off",
                                             offsets_u64(cont_lists[li].offsets));
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         const std::string tag = "cat" + std::to_string(li);
-        if (soa) {
-          data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
-          writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
-        } else {
-          writer.write_section<CategoricalEntry>(tag, cat_lists[li].entries);
-        }
+        data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
+        writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
         writer.write_section<std::uint64_t>(tag + "_off",
                                             offsets_u64(cat_lists[li].offsets));
       }
@@ -631,31 +549,21 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // ---------------- FindSplitI + FindSplitII -----------------------------
     std::vector<SplitCandidate> best(m);
 
-    // Local class counts per (node, class) for one continuous list. Under
-    // SoA the loop touches only the class stream (4B/record instead of the
-    // whole 24B entry).
+    // Local class counts per (node, class) for one continuous list. The
+    // loop touches only the class stream (4B/record).
     const auto count_continuous = [&](const ContList& list,
                                       std::vector<std::int64_t>& local_counts) {
       local_counts.assign(m * static_cast<std::size_t>(c), 0);
-      if (soa) {
-        const std::int32_t* const cls = list.cols.cls.data();
-        for (std::size_t i = 0; i < m; ++i) {
-          std::int64_t* const row = local_counts.data() +
-                                    i * static_cast<std::size_t>(c);
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            ++row[static_cast<std::size_t>(cls[idx])];
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          for (const ContinuousEntry& e : segment_of(list.entries, list.offsets, i)) {
-            ++local_counts[i * static_cast<std::size_t>(c) +
-                           static_cast<std::size_t>(e.cls)];
-          }
+      const std::int32_t* const cls = list.cols.cls.data();
+      for (std::size_t i = 0; i < m; ++i) {
+        std::int64_t* const row = local_counts.data() +
+                                  i * static_cast<std::size_t>(c);
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          ++row[static_cast<std::size_t>(cls[idx])];
         }
       }
-      comm.add_work(static_cast<double>(list.size(soa)));
+      comm.add_work(static_cast<double>(list.cols.size()));
     };
     // Boundary values: the last attribute value of each node's segment on
     // any earlier rank.
@@ -664,9 +572,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       boundary.assign(m, Boundary{});
       for (std::size_t i = 0; i < m; ++i) {
         if (list.offsets[i + 1] == list.offsets[i]) continue;
-        const double last = soa ? list.cols.values[list.offsets[i + 1] - 1]
-                                : list.entries[list.offsets[i + 1] - 1].value;
-        boundary[i] = Boundary{last, 1};
+        boundary[i] = Boundary{list.cols.values[list.offsets[i + 1] - 1], 1};
       }
     };
     const auto scan_cont_list = [&](const ContList& list,
@@ -675,22 +581,12 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       for (std::size_t i = 0; i < m; ++i) {
         const auto below = below_start.subspan(i * static_cast<std::size_t>(c),
                                                static_cast<std::size_t>(c));
-        std::size_t work;
-        if (soa) {
-          IncrementalImpurityScanner scanner(active[i].class_totals, below,
-                                             options.criterion);
-          work = scan_continuous_columns(
-              list.cols, list.offsets[i], list.offsets[i + 1], scanner,
-              prev[i].has != 0, prev[i].value,
-              static_cast<std::int32_t>(list.attribute), best[i]);
-        } else {
-          BinaryImpurityScanner scanner(active[i].class_totals, below,
-                                        options.criterion);
-          work = scan_continuous_segment(
-              segment_of(list.entries, list.offsets, i), scanner,
-              prev[i].has != 0, prev[i].value,
-              static_cast<std::int32_t>(list.attribute), best[i]);
-        }
+        IncrementalImpurityScanner scanner(active[i].class_totals, below,
+                                           options.criterion);
+        const std::size_t work = scan_continuous_columns(
+            list.cols, list.offsets[i], list.offsets[i + 1], scanner,
+            prev[i].has != 0, prev[i].value,
+            static_cast<std::int32_t>(list.attribute), best[i]);
         comm.add_work(static_cast<double>(work));
       }
     };
@@ -748,29 +644,19 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                        std::vector<std::int64_t>& local_counts) {
       const std::size_t card = static_cast<std::size_t>(list.cardinality);
       local_counts.assign(m * card * static_cast<std::size_t>(c), 0);
-      if (soa) {
-        const std::int32_t* const values = list.cols.values.data();
-        const std::int32_t* const cls = list.cols.cls.data();
-        for (std::size_t i = 0; i < m; ++i) {
-          std::int64_t* const block =
-              local_counts.data() + i * card * static_cast<std::size_t>(c);
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            ++block[static_cast<std::size_t>(values[idx]) *
-                        static_cast<std::size_t>(c) +
-                    static_cast<std::size_t>(cls[idx])];
-          }
-        }
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          for (const CategoricalEntry& e : segment_of(list.entries, list.offsets, i)) {
-            ++local_counts[(i * card + static_cast<std::size_t>(e.value)) *
-                               static_cast<std::size_t>(c) +
-                           static_cast<std::size_t>(e.cls)];
-          }
+      const std::int32_t* const values = list.cols.values.data();
+      const std::int32_t* const cls = list.cols.cls.data();
+      for (std::size_t i = 0; i < m; ++i) {
+        std::int64_t* const block =
+            local_counts.data() + i * card * static_cast<std::size_t>(c);
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          ++block[static_cast<std::size_t>(values[idx]) *
+                      static_cast<std::size_t>(c) +
+                  static_cast<std::size_t>(cls[idx])];
         }
       }
-      comm.add_work(static_cast<double>(list.size(soa)));
+      comm.add_work(static_cast<double>(list.cols.size()));
     };
     // Evaluates one categorical list's candidates from list.global_counts
     // (callable only where the global matrices live: coordinator or, with
@@ -983,72 +869,45 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     update_rids.clear();
     update_children.clear();
 
+    // Queues node i's freshly assigned segment for the node table and counts
+    // its records per (child, class).
+    const auto record_assignments = [&](const auto& list, std::size_t i) {
+      for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+           ++idx) {
+        const std::int32_t kid = list.child[idx];
+        update_rids.push_back(list.cols.rids[idx]);
+        update_children.push_back(kid);
+        ++local_kid_counts[kid_offset[i] +
+                           static_cast<std::size_t>(kid) *
+                               static_cast<std::size_t>(c) +
+                           static_cast<std::size_t>(list.cols.cls[idx])];
+      }
+      comm.add_work(static_cast<double>(list.offsets[i + 1] - list.offsets[i]));
+    };
     for (ContList& list : cont_lists) {
-      list.child.assign(list.size(soa), -1);
+      list.child.assign(list.cols.size(), -1);
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute != list.attribute) continue;
         const std::size_t off = list.offsets[i];
         const std::size_t len = list.offsets[i + 1] - off;
-        std::span<std::int32_t> out(list.child.data() + off, len);
-        if (soa) {
-          assign_children_continuous(
-              std::span<const double>(list.cols.values.data() + off, len),
-              best[i].threshold, out);
-          for (std::size_t k = 0; k < len; ++k) {
-            update_rids.push_back(list.cols.rids[off + k]);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(list.cols.cls[off + k])];
-          }
-        } else {
-          const auto seg = segment_of(list.entries, list.offsets, i);
-          assign_children_continuous(seg, best[i].threshold, out);
-          for (std::size_t k = 0; k < seg.size(); ++k) {
-            update_rids.push_back(seg[k].rid);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(seg[k].cls)];
-          }
-        }
-        comm.add_work(static_cast<double>(len));
+        assign_children_continuous(
+            std::span<const double>(list.cols.values.data() + off, len),
+            best[i].threshold,
+            std::span<std::int32_t>(list.child.data() + off, len));
+        record_assignments(list, i);
       }
     }
     for (CatList& list : cat_lists) {
-      list.child.assign(list.size(soa), -1);
+      list.child.assign(list.cols.size(), -1);
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute != list.attribute) continue;
         const std::size_t off = list.offsets[i];
         const std::size_t len = list.offsets[i + 1] - off;
-        std::span<std::int32_t> out(list.child.data() + off, len);
-        if (soa) {
-          assign_children_categorical(
-              std::span<const std::int32_t>(list.cols.values.data() + off, len),
-              value_to_child[i], out);
-          for (std::size_t k = 0; k < len; ++k) {
-            update_rids.push_back(list.cols.rids[off + k]);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(list.cols.cls[off + k])];
-          }
-        } else {
-          const auto seg = segment_of(list.entries, list.offsets, i);
-          assign_children_categorical(seg, value_to_child[i], out);
-          for (std::size_t k = 0; k < seg.size(); ++k) {
-            update_rids.push_back(seg[k].rid);
-            update_children.push_back(out[k]);
-            ++local_kid_counts[kid_offset[i] +
-                               static_cast<std::size_t>(out[k]) *
-                                   static_cast<std::size_t>(c) +
-                               static_cast<std::size_t>(seg[k].cls)];
-          }
-        }
-        comm.add_work(static_cast<double>(len));
+        assign_children_categorical(
+            std::span<const std::int32_t>(list.cols.values.data() + off, len),
+            value_to_child[i],
+            std::span<std::int32_t>(list.child.data() + off, len));
+        record_assignments(list, i);
       }
     }
 
@@ -1090,25 +949,15 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // unfused issues one lookup (two all-to-all rounds) per list.
     const auto collect_enquiry = [&](const auto& list,
                                      std::vector<std::int64_t>& rids) {
-      using Entry = std::decay_t<decltype(list.entries[0])>;
       for (std::size_t i = 0; i < m; ++i) {
         // The splitting attribute's own list was assigned in PerformSplitI.
         if (!will_split[i] || best[i].attribute == list.attribute) continue;
-        if (soa) {
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            rids.push_back(list.cols.rids[idx]);
-          }
-        } else {
-          for (const Entry& e : segment_of(list.entries, list.offsets, i)) {
-            rids.push_back(e.rid);
-          }
-        }
+        rids.insert(rids.end(), list.cols.rids.begin() + list.offsets[i],
+                    list.cols.rids.begin() + list.offsets[i + 1]);
       }
     };
     const auto apply_and_regroup = [&](auto& list,
                                        std::span<const std::int32_t> answers) {
-      using Entry = std::decay_t<decltype(list.entries[0])>;
       std::size_t cursor = 0;
       for (std::size_t i = 0; i < m; ++i) {
         if (!will_split[i] || best[i].attribute == list.attribute) continue;
@@ -1120,77 +969,48 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         throw std::logic_error("induction: enquiry answer count mismatch");
       }
 
-      const std::size_t old_size = list.size(soa);
+      const std::size_t old_size = list.cols.size();
 
-      // Stable grouped placement into the next level's layout. Under SoA
-      // the size/offset/cursor scratch comes from the level arena and the
-      // records land in the cols_next double-buffer — no heap traffic once
-      // capacities have warmed up.
-      if (soa) {
-        std::span<std::size_t> new_sizes =
-            level_arena.alloc_zeroed<std::size_t>(next_active.size());
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
-          }
+      // Stable grouped placement into the next level's layout. The
+      // size/offset/cursor scratch comes from the level arena and the records
+      // land in the cols_next double-buffer — no heap traffic once capacities
+      // have warmed up.
+      std::span<std::size_t> new_sizes =
+          level_arena.alloc_zeroed<std::size_t>(next_active.size());
+      for (std::size_t i = 0; i < m; ++i) {
+        if (!will_split[i]) continue;
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          const int target =
+              child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
+          if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
         }
-        std::span<std::size_t> new_offsets =
-            level_arena.alloc<std::size_t>(next_active.size() + 1);
-        std::span<std::size_t> cursors =
-            level_arena.alloc<std::size_t>(next_active.size());
-        new_offsets[0] = 0;
-        for (std::size_t t = 0; t < next_active.size(); ++t) {
-          new_offsets[t + 1] = new_offsets[t] + new_sizes[t];
-          cursors[t] = new_offsets[t];
-        }
-        list.cols_next.resize(new_offsets.empty() ? 0 : new_offsets.back());
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
-               ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) {
-              list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
-                                 list.cols, idx);
-            }
-          }
-        }
-        std::swap(list.cols, list.cols_next);
-        list.offsets.assign(new_offsets.begin(), new_offsets.end());
-        list.mem.resize(list.cols.size_bytes());
-      } else {
-        std::vector<std::size_t> new_sizes(next_active.size(), 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1]; ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) ++new_sizes[static_cast<std::size_t>(target)];
-          }
-        }
-        std::vector<std::size_t> new_offsets = sort::offsets_from_sizes(new_sizes);
-        std::vector<Entry> new_entries(new_offsets.back());
-        std::vector<std::size_t> cursors(new_offsets.begin(), new_offsets.end() - 1);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (!will_split[i]) continue;
-          for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1]; ++idx) {
-            const int target =
-                child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
-            if (target >= 0) {
-              new_entries[cursors[static_cast<std::size_t>(target)]++] =
-                  list.entries[idx];
-            }
-          }
-        }
-        list.entries = std::move(new_entries);
-        list.offsets = std::move(new_offsets);
-        list.mem.resize(list.entries.size() * sizeof(Entry));
       }
+      std::span<std::size_t> new_offsets =
+          level_arena.alloc<std::size_t>(next_active.size() + 1);
+      std::span<std::size_t> cursors =
+          level_arena.alloc<std::size_t>(next_active.size());
+      new_offsets[0] = 0;
+      for (std::size_t t = 0; t < next_active.size(); ++t) {
+        new_offsets[t + 1] = new_offsets[t] + new_sizes[t];
+        cursors[t] = new_offsets[t];
+      }
+      list.cols_next.resize(new_offsets.back());
+      for (std::size_t i = 0; i < m; ++i) {
+        if (!will_split[i]) continue;
+        for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
+             ++idx) {
+          const int target =
+              child_slot_target[i][static_cast<std::size_t>(list.child[idx])];
+          if (target >= 0) {
+            list.cols_next.set(cursors[static_cast<std::size_t>(target)]++,
+                               list.cols, idx);
+          }
+        }
+      }
+      std::swap(list.cols, list.cols_next);
+      list.offsets.assign(new_offsets.begin(), new_offsets.end());
+      list.mem.resize(list.cols.size_bytes());
       comm.add_work(static_cast<double>(old_size));
       list.child.clear();
       list.child.shrink_to_fit();

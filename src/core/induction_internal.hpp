@@ -6,6 +6,7 @@
 // and the per-level tree growth live here and cannot drift apart.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -71,11 +72,13 @@ class PhaseSpan {
 };
 
 // SPMD argument-consistency / checkpoint-compatibility fingerprint (FNV-1a
-// over total, schema and the tree-shaping options). fuse_collectives,
-// layout and the split-mode trio (split_mode/hist_bins/top_k) are
-// deliberately excluded: all of them consume and produce the same
-// checkpoint format, so a checkpoint written under one setting resumes
-// under any other.
+// over total, schema and the tree-shaping options). fuse_collectives and
+// the split-mode trio (split_mode/hist_bins/top_k) are deliberately
+// excluded: all of them consume and produce the same checkpoint format, so
+// a checkpoint written under one setting resumes under any other.
+// min_gini_improvement is mixed in only when non-zero, so runs at the
+// paper's default keep the fingerprint (and the checkpoints) they always
+// had.
 inline std::uint64_t induction_fingerprint(const data::Schema& schema,
                                            std::uint64_t total_records,
                                            const InductionOptions& options,
@@ -98,6 +101,9 @@ inline std::uint64_t induction_fingerprint(const data::Schema& schema,
   mix(static_cast<std::uint64_t>(options.categorical_split));
   mix(static_cast<std::uint64_t>(options.categorical_reduction));
   mix(static_cast<std::uint64_t>(strategy));
+  if (options.min_gini_improvement != 0.0) {
+    mix(std::bit_cast<std::uint64_t>(options.min_gini_improvement));
+  }
   return fp;
 }
 

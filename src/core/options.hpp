@@ -58,19 +58,6 @@ enum class SplitMode : int {
   kVoting = 2,
 };
 
-// In-memory layout of the continuous attribute lists during induction
-// (DESIGN.md; docs/architecture.md "memory layout & scan kernels").
-enum class DataLayout : int {
-  // Padded 24-byte array-of-structs entries, scanned by the recompute
-  // impurity scanner. The seed implementation; kept as the differential
-  // oracle and the bench baseline.
-  kAoS = 0,
-  // Structure-of-arrays columns (20 bytes/record, separate value/rid/class
-  // streams), scanned by the incremental run-length gini kernel, with
-  // per-level scratch served from an arena. The fast path.
-  kSoA = 1,
-};
-
 struct InductionOptions {
   // Hard depth cap (root is depth 0). 64 never binds in practice; tests use
   // small values to exercise the cutoff.
@@ -79,6 +66,8 @@ struct InductionOptions {
   std::int64_t min_split_records = 2;
   // A split must improve on the node's own gini by more than this to be
   // taken; 0 reproduces the paper (stop only when pure / no valid split).
+  // NaN and negative values are rejected. Tree-shaping, so a non-zero value
+  // is part of the SPMD/checkpoint fingerprint.
   double min_gini_improvement = 0.0;
   SplitCriterion criterion = SplitCriterion::kGini;
   CategoricalSplit categorical_split = CategoricalSplit::kMultiWay;
@@ -97,13 +86,7 @@ struct InductionOptions {
   // fingerprint: a checkpoint written under one setting resumes under the
   // other.
   bool fuse_collectives = true;
-  // Continuous-list layout. Both layouts produce byte-identical trees and
-  // byte-identical checkpoint files (sections are always written in AoS
-  // entry form), which is why this flag — like fuse_collectives — is
-  // deliberately NOT part of the SPMD/checkpoint fingerprint: a checkpoint
-  // written under one layout resumes under the other.
-  DataLayout layout = DataLayout::kSoA;
-  // Split determination mode. Like fuse_collectives and layout, deliberately
+  // Split determination mode. Like fuse_collectives, deliberately
   // NOT part of the SPMD/checkpoint fingerprint: every mode consumes and
   // produces the same on-disk checkpoint format (sorted AoS attribute-list
   // sections), so an exact-mode checkpoint resumes under histogram mode and

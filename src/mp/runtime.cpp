@@ -218,16 +218,14 @@ int join_handshake(Comm& comm, const JoinCapability& capability) {
       const auto offered = comm.recv_value<JoinCapability>(joiner, cap_tag);
       if (offered.fingerprint != capability.fingerprint ||
           offered.total_records != capability.total_records ||
-          offered.num_attributes != capability.num_attributes ||
-          offered.layout != capability.layout) {
+          offered.num_attributes != capability.num_attributes) {
         std::ostringstream what;
         what << "join_handshake: joiner rank " << joiner
              << " capability mismatch (fingerprint " << offered.fingerprint
              << " vs " << capability.fingerprint << ", records "
              << offered.total_records << " vs " << capability.total_records
              << ", attrs " << offered.num_attributes << " vs "
-             << capability.num_attributes << ", layout " << offered.layout
-             << " vs " << capability.layout << "); refusing to admit";
+             << capability.num_attributes << "); refusing to admit";
         throw std::runtime_error(what.str());
       }
       comm.admit_joiner(joiner);

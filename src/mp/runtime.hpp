@@ -186,7 +186,6 @@ struct JoinCapability {
   std::uint64_t fingerprint = 0;   // checkpoint schema/options fingerprint
   std::int64_t total_records = 0;  // global record count of the training set
   std::int32_t num_attributes = 0;
-  std::int32_t layout = 0;         // attribute-list layout discriminant
 };
 static_assert(std::is_trivially_copyable_v<JoinCapability>);
 

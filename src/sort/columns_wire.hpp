@@ -22,6 +22,9 @@ namespace scalparc::sort {
 inline std::vector<std::byte> pack_columns(const data::ContinuousColumns& cols,
                                            std::size_t begin, std::size_t end) {
   const std::size_t n = end - begin;
+  // memcpy's pointers must be non-null even for zero bytes, and an empty
+  // vector's data() may be null.
+  if (n == 0) return {};
   std::vector<std::byte> out(n * data::ContinuousColumns::bytes_per_record);
   std::byte* cursor = out.data();
   std::memcpy(cursor, cols.values.data() + begin, n * sizeof(double));
@@ -39,6 +42,7 @@ inline std::size_t unpack_columns(const std::vector<std::byte>& bytes,
     throw std::logic_error("unpack_columns: byte count is not a whole record");
   }
   const std::size_t n = bytes.size() / data::ContinuousColumns::bytes_per_record;
+  if (n == 0) return 0;
   const std::size_t base = cols.size();
   cols.resize(base + n);
   const std::byte* cursor = bytes.data();

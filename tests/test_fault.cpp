@@ -607,6 +607,28 @@ TEST(FaultRecovery, CheckpointWrittenUnfusedResumesFused) {
   EXPECT_EQ(tree_bytes(resumed.tree), expected);
 }
 
+// min_gini_improvement shapes the tree, so a checkpoint written under one
+// threshold must not resume under another (the result would be a hybrid
+// of two trees).
+TEST(FaultRecovery, ResumeWithDifferentMinGiniImprovementThrows) {
+  const data::Dataset training = make_training(2000);
+  TempDir dir("scalparc_ckpt_min_gini");
+  core::InductionControls ckpt;
+  ckpt.options.max_depth = 5;
+  ckpt.checkpoint.directory = dir.path;
+  mp::FaultPlan plan;
+  plan.parse("kill:r=1,level=2");
+  mp::RunOptions options;
+  options.fault_plan = &plan;
+  EXPECT_THROW(core::ScalParC::fit(training, 2, ckpt, kZero, options),
+               mp::InjectedFault);
+
+  core::InductionControls resume = ckpt;
+  resume.options.min_gini_improvement = 0.05;
+  EXPECT_THROW(core::ScalParC::resume_from_checkpoint(training, 2, resume),
+               core::CheckpointError);
+}
+
 TEST(FaultRecovery, RecoveryRequiresCheckpointDirectory) {
   const data::Dataset training = make_training(500);
   EXPECT_THROW(core::ScalParC::fit_with_recovery(training, 2, {}),

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -399,6 +400,23 @@ TEST(Induction, BadOptionsThrow) {
   EXPECT_THROW((void)ScalParC::fit(training, 1, controls), std::invalid_argument);
 }
 
+TEST(Induction, NanOrNegativeMinGiniImprovementThrows) {
+  QuestGenerator generator(GeneratorConfig{.seed = 2});
+  const data::Dataset training = generator.generate(0, 200);
+  for (const core::SplitMode mode :
+       {core::SplitMode::kExact, core::SplitMode::kHistogram}) {
+    for (const double threshold :
+         {std::numeric_limits<double>::quiet_NaN(), -0.01}) {
+      InductionControls controls;
+      controls.options.split_mode = mode;
+      controls.options.min_gini_improvement = threshold;
+      EXPECT_THROW((void)ScalParC::fit(training, 2, controls),
+                   std::invalid_argument)
+          << "mode=" << static_cast<int>(mode) << " threshold=" << threshold;
+    }
+  }
+}
+
 TEST(Induction, MoreRanksThanRecords) {
   Schema schema({Schema::continuous("x")}, 2);
   data::Dataset d(schema);
@@ -501,17 +519,25 @@ TEST(Induction, MismatchedRankArgumentsAreRejected) {
 
 TEST(Induction, MismatchedOptionsAreRejected) {
   QuestGenerator generator(GeneratorConfig{.seed = 2});
-  EXPECT_THROW(
-      mp::run_ranks(2, kZero,
-                    [&](mp::Comm& comm) {
-                      const data::Dataset block = generator.generate(
-                          static_cast<std::uint64_t>(comm.rank()) * 10, 10);
-                      core::InductionControls controls;
-                      controls.options.max_depth = comm.rank() == 0 ? 8 : 9;
-                      (void)core::induce_tree_distributed(
-                          comm, block, comm.rank() * 10, 20, controls);
-                    }),
-      std::invalid_argument);
+  // Rank 1 disagrees with rank 0's default options on one tree-shaping
+  // field.
+  core::InductionOptions deeper;
+  deeper.max_depth = 9;
+  core::InductionOptions pickier;
+  pickier.min_gini_improvement = 0.05;
+  for (const core::InductionOptions& other : {deeper, pickier}) {
+    EXPECT_THROW(
+        mp::run_ranks(2, kZero,
+                      [&](mp::Comm& comm) {
+                        const data::Dataset block = generator.generate(
+                            static_cast<std::uint64_t>(comm.rank()) * 10, 10);
+                        core::InductionControls controls;
+                        if (comm.rank() == 1) controls.options = other;
+                        (void)core::induce_tree_distributed(
+                            comm, block, comm.rank() * 10, 20, controls);
+                      }),
+        std::invalid_argument);
+  }
 }
 
 TEST(Induction, PhaseTimingsAccountedUnderRealCostModel) {

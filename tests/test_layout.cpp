@@ -1,31 +1,23 @@
-// Differential property suite for the SoA data plane: the columnar
-// attribute lists, the incremental gini kernel, the flat hash table, and the
-// arena must be *observationally invisible* — byte-identical trees,
-// byte-identical checkpoint files, cross-layout resume — with the AoS
-// entry-list path kept alive as the oracle (InductionOptions::layout).
+// Component oracles for the SoA data plane: the incremental gini kernel,
+// the columnar scan, sort and rebalance, the incremental subset search and
+// the flat hash table must match their entry-list / recompute / chained
+// counterparts bit for bit, and the arena must behave as a bump allocator.
+// Whole-run behaviour (trees and checkpoint files across processor counts,
+// split modes and recovery paths) is pinned by tests/test_golden.cpp.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <random>
-#include <sstream>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/chained_hash.hpp"
 #include "core/count_matrix.hpp"
 #include "core/flat_hash.hpp"
 #include "core/gini.hpp"
-#include "core/scalparc.hpp"
 #include "core/split_finder.hpp"
-#include "core/tree_io.hpp"
 #include "data/attribute_list.hpp"
-#include "data/synthetic.hpp"
-#include "mp/fault.hpp"
 #include "mp/runtime.hpp"
 #include "sort/partition_util.hpp"
 #include "sort/rebalance.hpp"
@@ -35,195 +27,9 @@
 namespace scalparc {
 namespace {
 
-namespace fs = std::filesystem;
-
-using core::DataLayout;
-using core::DecisionTree;
-using core::InductionControls;
-using core::ScalParC;
 using core::SplitCandidate;
 
 const mp::CostModel kZero = mp::CostModel::zero();
-
-std::string tree_bytes(const DecisionTree& tree) {
-  std::ostringstream out;
-  core::save_tree(tree, out);
-  return out.str();
-}
-
-// Mixed continuous + categorical workload (9 Quest attributes) so both list
-// kinds and both split kinds go through the layout under test.
-data::Dataset make_mixed_training(std::uint64_t records, std::uint64_t seed = 11) {
-  data::GeneratorConfig config;
-  config.seed = seed;
-  config.function = data::LabelFunction::kF6;
-  config.num_attributes = 9;
-  config.label_noise = 0.05;
-  return data::QuestGenerator(config).generate(0, records);
-}
-
-// Continuous-heavy workload matching the fault suite (deep enough trees for
-// mid-run checkpoints).
-data::Dataset make_deep_training(std::uint64_t records, std::uint64_t seed = 3) {
-  data::GeneratorConfig config;
-  config.seed = seed;
-  config.function = data::LabelFunction::kF2;
-  config.num_attributes = 7;
-  return data::QuestGenerator(config).generate(0, records);
-}
-
-InductionControls layout_controls(DataLayout layout) {
-  InductionControls controls;
-  controls.options.layout = layout;
-  return controls;
-}
-
-struct TempDir {
-  std::string path;
-  explicit TempDir(const std::string& stem)
-      : path((fs::temp_directory_path() /
-              (stem + "_" + std::to_string(::getpid()) + "_" +
-               std::to_string(counter_++)))
-                 .string()) {}
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  static inline int counter_ = 0;
-};
-
-// All regular files under `root`, keyed by path relative to root.
-std::map<std::string, std::string> file_map(const std::string& root) {
-  std::map<std::string, std::string> out;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    out[fs::relative(entry.path(), root).string()] = buffer.str();
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Trees are byte-identical across layouts
-// ---------------------------------------------------------------------------
-
-TEST(LayoutDifferential, TreeByteIdenticalAcrossLayouts) {
-  const data::Dataset training = make_mixed_training(1200);
-  for (const int p : {1, 2, 4, 8}) {
-    const core::FitReport soa =
-        ScalParC::fit(training, p, layout_controls(DataLayout::kSoA), kZero);
-    const core::FitReport aos =
-        ScalParC::fit(training, p, layout_controls(DataLayout::kAoS), kZero);
-    EXPECT_EQ(tree_bytes(soa.tree), tree_bytes(aos.tree)) << "p=" << p;
-    EXPECT_EQ(soa.tree.accuracy(training), aos.tree.accuracy(training))
-        << "p=" << p;
-  }
-}
-
-TEST(LayoutDifferential, TreeByteIdenticalWithSubsetSplitsAndEntropy) {
-  // Entropy has no O(1) sufficient statistic, so the incremental scanner's
-  // fallback path and the subset split's incremental histograms are both on
-  // trial here.
-  const data::Dataset training = make_mixed_training(900, /*seed=*/4);
-  for (const int p : {1, 4}) {
-    InductionControls soa = layout_controls(DataLayout::kSoA);
-    soa.options.categorical_split = core::CategoricalSplit::kBinarySubset;
-    soa.options.criterion = core::SplitCriterion::kEntropy;
-    InductionControls aos = soa;
-    aos.options.layout = DataLayout::kAoS;
-    EXPECT_EQ(tree_bytes(ScalParC::fit(training, p, soa, kZero).tree),
-              tree_bytes(ScalParC::fit(training, p, aos, kZero).tree))
-        << "p=" << p;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoints: identical files, cross-layout resume
-// ---------------------------------------------------------------------------
-
-TEST(LayoutDifferential, CheckpointFilesByteIdenticalAcrossLayouts) {
-  // Sections are always written as AoS entries regardless of the in-memory
-  // layout, so the on-disk artifacts must match byte for byte.
-  const data::Dataset training = make_deep_training(2000);
-  TempDir soa_dir("scalparc_layout_soa");
-  TempDir aos_dir("scalparc_layout_aos");
-  InductionControls soa = layout_controls(DataLayout::kSoA);
-  soa.options.max_depth = 5;
-  soa.checkpoint.directory = soa_dir.path;
-  InductionControls aos = soa;
-  aos.options.layout = DataLayout::kAoS;
-  aos.checkpoint.directory = aos_dir.path;
-
-  const std::string soa_tree = tree_bytes(ScalParC::fit(training, 2, soa, kZero).tree);
-  const std::string aos_tree = tree_bytes(ScalParC::fit(training, 2, aos, kZero).tree);
-  EXPECT_EQ(soa_tree, aos_tree);
-
-  const auto soa_files = file_map(soa_dir.path);
-  const auto aos_files = file_map(aos_dir.path);
-  ASSERT_FALSE(soa_files.empty());
-  ASSERT_EQ(soa_files.size(), aos_files.size());
-  for (const auto& [name, bytes] : soa_files) {
-    const auto it = aos_files.find(name);
-    ASSERT_NE(it, aos_files.end()) << name << " missing from AoS checkpoint";
-    EXPECT_EQ(bytes, it->second) << name << " differs across layouts";
-  }
-}
-
-TEST(LayoutDifferential, EachLayoutResumesTheOthersCheckpoint) {
-  // The layout is deliberately excluded from the checkpoint fingerprint:
-  // a checkpoint written under either layout must resume under the other
-  // and still reproduce the clean tree.
-  const data::Dataset training = make_deep_training(2000);
-  InductionControls base;
-  base.options.max_depth = 5;
-  const std::string expected =
-      tree_bytes(ScalParC::fit(training, 4, base, kZero).tree);
-
-  for (const auto& [writer, resumer] :
-       {std::pair{DataLayout::kAoS, DataLayout::kSoA},
-        std::pair{DataLayout::kSoA, DataLayout::kAoS}}) {
-    TempDir dir("scalparc_layout_xresume");
-    InductionControls write = base;
-    write.options.layout = writer;
-    write.checkpoint.directory = dir.path;
-    EXPECT_EQ(tree_bytes(ScalParC::fit(training, 4, write, kZero).tree),
-              expected);
-
-    InductionControls resume = base;
-    resume.options.layout = resumer;
-    resume.checkpoint.directory = dir.path;
-    const core::FitReport report =
-        ScalParC::resume_from_checkpoint(training, 4, resume, kZero);
-    EXPECT_EQ(tree_bytes(report.tree), expected)
-        << "writer=" << static_cast<int>(writer)
-        << " resumer=" << static_cast<int>(resumer);
-  }
-}
-
-TEST(LayoutDifferential, KillAndResumeUnderSoAMatchesAoSTree) {
-  const data::Dataset training = make_deep_training(4000);
-  InductionControls aos = layout_controls(DataLayout::kAoS);
-  aos.options.max_depth = 6;
-  const std::string expected =
-      tree_bytes(ScalParC::fit(training, 4, aos, kZero).tree);
-
-  TempDir dir("scalparc_layout_kill");
-  mp::FaultPlan plan;
-  plan.parse("kill:r=1,level=2");
-  mp::RunOptions options;
-  options.fault_plan = &plan;
-  InductionControls soa = layout_controls(DataLayout::kSoA);
-  soa.options.max_depth = 6;
-  soa.checkpoint.directory = dir.path;
-  const core::RecoveryReport report =
-      ScalParC::fit_with_recovery(training, 4, soa, kZero, options);
-  EXPECT_EQ(report.attempts, 2);
-  ASSERT_EQ(report.events.size(), 1u);
-  EXPECT_EQ(report.events[0].resumed_level, 2);
-  EXPECT_EQ(tree_bytes(report.fit.tree), expected);
-}
 
 // ---------------------------------------------------------------------------
 // Impurity scanners: bitwise equality
