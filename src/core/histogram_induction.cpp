@@ -761,6 +761,17 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     }
     phase->set_bytes(static_cast<std::int64_t>(batch.packed_bytes()));
     level_histogram_bytes += batch.packed_bytes();
+    // This level's histogram working set: the local histograms, the merge
+    // scratch (reused list by list, so its capacity is what it holds) and
+    // the packed buffer the allreduce moves.
+    const util::ScopedAllocation histogram_mem(
+        comm.meter(), util::MemCategory::kCountMatrices,
+        (cont_counts.size() + cat_counts.size() +
+         merge_counts_scratch.capacity()) *
+                sizeof(std::int64_t) +
+            (cont_bin_min.size() + merge_min_scratch.capacity()) *
+                sizeof(double) +
+            batch.packed_bytes());
     batch.allreduce();
 
     // ---------------- FindSplitII: evaluate the merged histograms ----------

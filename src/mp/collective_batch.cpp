@@ -100,8 +100,10 @@ void CollectiveBatch::allreduce() {
           combine_all(buffer_.data(), incoming, /*incoming_left=*/false);
         }
       } else {
+        // The partial sum is dead after the send (the broadcast below
+        // overwrites it): hand the buffer to the mailbox.
         const int dst = r & ~mask;
-        comm_.send<std::byte>(dst, tag, std::span<const std::byte>(buffer_));
+        comm_.send<std::byte>(dst, tag, std::move(buffer_));
         break;
       }
       mask <<= 1;
@@ -113,7 +115,7 @@ void CollectiveBatch::allreduce() {
     while (mask < p) {
       if (r & mask) {
         std::vector<std::byte> incoming = comm_.recv<std::byte>(r - mask, tag);
-        if (incoming.size() != buffer_.size()) {
+        if (incoming.size() != packed_bytes()) {
           throw std::logic_error("CollectiveBatch: bad broadcast size");
         }
         buffer_ = std::move(incoming);

@@ -79,8 +79,13 @@ class CollectiveBatch {
   }
 
   std::size_t num_segments() const { return segments_.size(); }
-  // Total packed payload bytes (one collective moves all of it at once).
-  std::size_t packed_bytes() const { return buffer_.size(); }
+  // Total packed payload bytes (one collective moves all of it at once),
+  // read from the directory: allreduce() hands the buffer itself to the
+  // mailbox mid-round.
+  std::size_t packed_bytes() const {
+    return segments_.empty() ? 0
+                             : segments_.back().offset + segments_.back().bytes;
+  }
 
   // --- rounds (each is one collective operation in mp::Stats) -------------
   void exscan();

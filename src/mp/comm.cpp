@@ -254,7 +254,9 @@ void Comm::send_payload(int dst, std::int64_t tag, Payload payload) {
   if (reliability.enabled) {
     // Sequence and retain a clean copy *before* wire faults touch the
     // message: whatever the wire does, the receiver can always be given
-    // back exactly what was sent.
+    // back exactly what was sent. The copy shares the sent buffer; a
+    // corrupting fault below detaches the wire copy instead of writing
+    // through the share.
     message.seq = channel.assign_seq();
     channel.record_inflight(message);
   }
@@ -279,7 +281,7 @@ void Comm::send_payload(int dst, std::int64_t tag, Payload payload) {
     copy.seq = message.seq;
     copy.arrival_vtime = message.arrival_vtime;
     copy.crc = message.crc;
-    copy.payload = Payload::copy_of(message.payload.bytes());
+    copy.payload = message.payload.share();
     channel.push(std::move(copy));
   }
   channel.push(std::move(message));

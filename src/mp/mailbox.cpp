@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 
 namespace scalparc::mp {
@@ -116,8 +115,7 @@ void Channel::record_inflight(const Message& message) {
   copy.tag = message.tag;
   copy.arrival_vtime = message.arrival_vtime;
   copy.crc = message.crc;
-  const std::span<const std::byte> bytes = message.payload.bytes();
-  copy.bytes.assign(bytes.begin(), bytes.end());
+  copy.payload = message.payload.share();
   inflight_.push_back(std::move(copy));
 }
 
@@ -163,7 +161,7 @@ void Channel::requeue_locked(const Inflight& copy) {
   message.seq = copy.seq;
   message.arrival_vtime = copy.arrival_vtime;
   message.crc = copy.crc;
-  message.payload = Payload::copy_of(copy.bytes);
+  message.payload = copy.payload.share();
   queue_.push_back(std::move(message));
   ++stats_.retransmits;
 }

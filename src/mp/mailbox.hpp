@@ -16,7 +16,8 @@
 //
 // Reliability (ack/retransmit): when enabled, every send carries a per-channel
 // monotone sequence number and the sender side of the channel retains a clean
-// byte copy of each unacknowledged message (bounded in-flight buffer). A
+// copy of each unacknowledged message (bounded in-flight buffer) — a shared
+// reference to the immutable sent buffer, not a byte copy. A
 // receiver that pops a frame failing its CRC nacks it by sequence number
 // (the clean copy is re-queued); a receiver whose wait times out requests a
 // retransmit by tag. Accepted sequence numbers are tracked (compacted
@@ -117,10 +118,11 @@ class Channel {
 
   // --- reliability (ack/retransmit) protocol --------------------------
   // Sender side. assign_seq hands out the next per-channel sequence number;
-  // record_inflight retains a clean byte copy of `message` (call it with the
-  // CRC-framed message *before* wire faults are applied) in a bounded buffer
-  // — when the buffer is full the oldest copy is evicted and can no longer
-  // be retransmitted.
+  // record_inflight retains a clean copy of `message` — a share of its
+  // payload, taken from the CRC-framed message *before* wire faults are
+  // applied (a corrupting fault detaches the wire copy, never this one) — in
+  // a bounded buffer; when the buffer is full the oldest copy is evicted and
+  // can no longer be retransmitted.
   std::uint64_t assign_seq();
   void record_inflight(const Message& message);
   void set_inflight_cap(std::size_t cap);
@@ -155,21 +157,23 @@ class Channel {
   double adaptive_timeout_s(double phi_threshold) const;
 
  private:
-  // A clean (pre-fault) byte copy of an unacknowledged message.
+  // A clean (pre-fault) copy of an unacknowledged message: its header plus a
+  // shared reference to the sent payload.
   struct Inflight {
     std::uint64_t seq = 0;
     std::int64_t tag = 0;
     double arrival_vtime = 0.0;
     std::uint32_t crc = 0;
-    std::vector<std::byte> bytes;
+    Payload payload;
   };
 
   // Caller must hold mutex_. Returns true and fills `out` on a tag match.
   bool take_locked(std::int64_t tag, Message& out);
   // Caller must hold mutex_. True if `seq` is in the accepted set.
   bool accepted_locked(std::uint64_t seq) const;
-  // Caller must hold mutex_. Rebuilds a Message from an in-flight copy and
-  // queues it (the caller notifies ready_ after releasing the lock).
+  // Caller must hold mutex_. Rebuilds a Message sharing an in-flight copy's
+  // payload and queues it (the caller notifies ready_ after releasing the
+  // lock).
   void requeue_locked(const Inflight& copy);
 
   mutable std::mutex mutex_;

@@ -1,22 +1,28 @@
 // Wire-level message for the in-process message-passing runtime.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
 namespace scalparc::mp {
 
-// Type-erased, move-only payload buffer. The transport is zero-copy: a
-// sender that owns a typed vector moves it into the Payload (adopt), the
-// Message carrying it is moved through the channel, and a receiver asking
-// for the same element type reclaims the very same vector (take) — the
-// bytes are never duplicated. A receiver asking for a different type (or a
-// sender that only holds a borrowed span) pays exactly one copy.
+// Type-erased payload buffer with shared, immutable ownership. The transport
+// is zero-copy: a sender that owns a typed vector moves it into the Payload
+// (adopt), the Message carrying it is moved through the channel, and a
+// receiver asking for the same element type reclaims the very same vector
+// (take) — the bytes are never duplicated. share() hands out another
+// reference to the same bytes (the reliability layer's retained copy of an
+// unacknowledged frame); while a buffer is shared it is never written, so
+// take() copies instead of moving and mutable_bytes() detaches first. A
+// receiver asking for a different type (or a sender that only holds a
+// borrowed span) pays exactly one copy.
 class Payload {
  public:
   Payload() = default;
@@ -30,12 +36,12 @@ class Payload {
   static Payload adopt(std::vector<T>&& values) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "Payload elements must be trivially copyable");
+    auto held = std::make_shared<std::vector<T>>(std::move(values));
     Payload p;
-    auto* held = new std::vector<T>(std::move(values));
-    p.owner_ = Owner(held, [](void* v) { delete static_cast<std::vector<T>*>(v); });
     p.data_ = reinterpret_cast<std::byte*>(held->data());
     p.size_ = held->size() * sizeof(T);
     p.type_ = &typeid(T);
+    p.owner_ = std::move(held);
     return p;
   }
 
@@ -44,20 +50,35 @@ class Payload {
     return adopt(std::vector<std::byte>(bytes.begin(), bytes.end()));
   }
 
+  // Another handle to the same bytes; no bytes are copied.
+  Payload share() const {
+    Payload p;
+    p.owner_ = owner_;
+    p.data_ = data_;
+    p.size_ = size_;
+    p.type_ = type_;
+    return p;
+  }
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::span<const std::byte> bytes() const { return {data_, size_}; }
-  // Mutable view for in-flight fault injection (payload corruption).
-  std::span<std::byte> mutable_bytes() { return {data_, size_}; }
+  // Mutable view for in-flight fault injection (payload corruption). A
+  // shared buffer is detached (cloned) first, so every other handle keeps
+  // the bytes that were sent.
+  std::span<std::byte> mutable_bytes() {
+    if (!sole_owner()) *this = copy_of(bytes());
+    return {data_, size_};
+  }
 
-  // Surrenders the payload as a vector<T>. If the payload was adopted from a
-  // vector of exactly T this moves it back out (zero-copy); otherwise it
-  // deserializes with one copy. Trailing bytes that do not fill a whole T
+  // Surrenders the payload as a vector<T>. If this handle is the sole owner
+  // of a vector of exactly T this moves it back out (zero-copy); otherwise
+  // it deserializes with one copy. Trailing bytes that do not fill a whole T
   // are discarded, matching the historical recv<T> contract.
   template <typename T>
   std::vector<T> take() {
     std::vector<T> out;
-    if (owner_ && type_ != nullptr && *type_ == typeid(T)) {
+    if (type_ != nullptr && *type_ == typeid(T) && sole_owner()) {
       out = std::move(*static_cast<std::vector<T>*>(owner_.get()));
     } else {
       out.resize(size_ / sizeof(T));
@@ -71,8 +92,17 @@ class Payload {
   }
 
  private:
-  using Owner = std::unique_ptr<void, void (*)(void*)>;
-  Owner owner_{nullptr, [](void*) {}};
+  // True if no other handle references the buffer. A handle released on
+  // another thread dropped its reference with a release decrement; the
+  // acquire fence orders that thread's reads of the bytes before any write
+  // this handle makes once it owns them alone.
+  bool sole_owner() const {
+    if (owner_.use_count() > 1) return false;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return true;
+  }
+
+  std::shared_ptr<void> owner_;
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   const std::type_info* type_ = nullptr;

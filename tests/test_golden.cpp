@@ -518,11 +518,16 @@ core::InductionControls base_controls(const Cell& cell) {
 
 struct TempDir {
   std::string path;
+  // Starts empty: a directory left behind by a killed earlier process with
+  // the same pid would otherwise add its levels to this cell's listings.
   explicit TempDir(const std::string& stem)
       : path((fs::temp_directory_path() /
               (stem + "_" + std::to_string(::getpid()) + "_" +
                std::to_string(counter_++)))
-                 .string()) {}
+                 .string()) {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
   ~TempDir() {
     std::error_code ec;
     fs::remove_all(path, ec);

@@ -365,6 +365,34 @@ TEST(HistogramInduction, RejectsBadOptions) {
                std::invalid_argument);
 }
 
+TEST(HistogramInduction, MemoryMeterSeesTheHistograms) {
+  // Wide bins on a small record block: the level-0 histograms alone
+  // outweigh every rank's record columns, so a meter that missed them
+  // would report a peak below their size.
+  const data::Dataset training = make_training(400, 5);
+  const int bins = 1024;
+  const Schema& schema = training.schema();
+  std::size_t cont_cells = 0;
+  std::size_t cat_cells = 0;
+  for (int a = 0; a < schema.num_attributes(); ++a) {
+    const data::AttributeInfo& info = schema.attribute(a);
+    if (info.kind == data::AttributeKind::kContinuous) {
+      cont_cells += static_cast<std::size_t>(bins);
+    } else {
+      cat_cells += static_cast<std::size_t>(info.cardinality);
+    }
+  }
+  const auto classes = static_cast<std::size_t>(schema.num_classes());
+  // [bin][class] counts + per-bin minima per continuous attribute, and the
+  // [value][class] count matrix per categorical one, for the single root.
+  const std::size_t level0_histogram_bytes =
+      (cont_cells + cat_cells) * classes * sizeof(std::int64_t) +
+      cont_cells * sizeof(double);
+  const core::FitReport report =
+      ScalParC::fit(training, 2, histogram_controls(bins, 4), kZero);
+  EXPECT_GE(report.run.max_peak_bytes_per_rank(), level0_histogram_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Voting mode
 // ---------------------------------------------------------------------------

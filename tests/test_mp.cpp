@@ -1,17 +1,27 @@
 // Unit tests for the message-passing runtime: point-to-point, every
 // collective against a serial oracle for a sweep of rank counts, the cost
-// model's virtual clock, statistics accounting, and failure handling.
+// model's virtual clock, statistics accounting, failure handling, the CRC-32
+// frame checksum against a bytewise oracle, and the shared-ownership payload
+// the reliable transport retains instead of copying.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <random>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "mp/collectives.hpp"
 #include "mp/comm.hpp"
 #include "mp/costmodel.hpp"
+#include "mp/fault.hpp"
 #include "mp/runtime.hpp"
+#include "util/crc32.hpp"
 
 namespace scalparc {
 namespace {
@@ -378,6 +388,193 @@ TEST(MpStats, MaxBytesPerRank) {
     if (comm.rank() == 0) (void)comm.recv_bytes(1, 0);
   });
   EXPECT_GE(result.max_bytes_sent_per_rank(), 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Frame checksum: slice-by-8 CRC-32 against the bytewise reference
+// ---------------------------------------------------------------------------
+
+// The classic one-table, one-byte-per-step CRC-32: the oracle the
+// slice-by-8 implementation must match bit for bit.
+std::uint32_t bytewise_crc32(const void* data, std::size_t len,
+                             std::uint32_t seed = 0) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = util::detail::kCrc32Table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+TEST(FrameChecksum, KnownAnswers) {
+  const std::string_view check = "123456789";
+  EXPECT_EQ(util::crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(util::crc32(nullptr, 0), 0u);
+  EXPECT_EQ(util::crc32(std::span<const std::byte>{}), 0u);
+}
+
+TEST(FrameChecksum, MatchesBytewiseOracleForEveryShortLength) {
+  const std::vector<unsigned char> data = random_bytes(64, 1);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    EXPECT_EQ(util::crc32(data.data(), len),
+              bytewise_crc32(data.data(), len))
+        << "len " << len;
+    EXPECT_EQ(util::crc32(data.data(), len, 0xDEADBEEFu),
+              bytewise_crc32(data.data(), len, 0xDEADBEEFu))
+        << "seeded, len " << len;
+  }
+}
+
+TEST(FrameChecksum, MatchesBytewiseOracleAtEveryStartOffset) {
+  // A 1 MiB buffer entered at offsets 0..7: every alignment of the 8-byte
+  // steps relative to the allocation.
+  const std::size_t kMiB = std::size_t{1} << 20;
+  const std::vector<unsigned char> data = random_bytes(kMiB + 8, 2);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    EXPECT_EQ(util::crc32(data.data() + offset, kMiB),
+              bytewise_crc32(data.data() + offset, kMiB))
+        << "offset " << offset;
+  }
+}
+
+TEST(FrameChecksum, SeedChainsAcrossSplitPoints) {
+  const std::vector<unsigned char> data = random_bytes(1000, 3);
+  const std::uint32_t whole = util::crc32(data.data(), data.size());
+  EXPECT_EQ(whole, bytewise_crc32(data.data(), data.size()));
+  for (const std::size_t cut : {0, 1, 7, 8, 9, 63, 500, 999, 1000}) {
+    const std::uint32_t head = util::crc32(data.data(), cut);
+    EXPECT_EQ(util::crc32(data.data() + cut, data.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Payload ownership
+// ---------------------------------------------------------------------------
+
+std::vector<std::int64_t> iota_values(std::size_t n) {
+  std::vector<std::int64_t> out(n);
+  std::iota(out.begin(), out.end(), std::int64_t{0});
+  return out;
+}
+
+TEST(MpPayload, SharedTakeCopiesAndLeavesOtherHandleIntact) {
+  const std::vector<std::int64_t> expected = iota_values(100);
+  mp::Payload original = mp::Payload::adopt(iota_values(100));
+  mp::Payload share = original.share();
+  const std::byte* held = original.bytes().data();
+  EXPECT_EQ(share.bytes().data(), held);
+
+  const std::vector<std::int64_t> taken = share.take<std::int64_t>();
+  EXPECT_EQ(taken, expected);
+  EXPECT_NE(reinterpret_cast<const std::byte*>(taken.data()), held);
+  EXPECT_TRUE(share.empty());
+  // The surviving handle still owns the untouched original buffer, and is
+  // now its sole owner: its take moves the buffer out.
+  ASSERT_EQ(original.size(), expected.size() * sizeof(std::int64_t));
+  EXPECT_EQ(original.bytes().data(), held);
+  const std::vector<std::int64_t> reclaimed = original.take<std::int64_t>();
+  EXPECT_EQ(reinterpret_cast<const std::byte*>(reclaimed.data()), held);
+  EXPECT_EQ(reclaimed, expected);
+}
+
+TEST(MpPayload, SoleOwnerTakeReturnsTheSameBuffer) {
+  std::vector<std::int64_t> values = iota_values(1000);
+  const std::int64_t* address = values.data();
+  mp::Payload payload = mp::Payload::adopt(std::move(values));
+  const std::vector<std::int64_t> out = payload.take<std::int64_t>();
+  EXPECT_EQ(out.data(), address);
+  EXPECT_EQ(out, iota_values(1000));
+  // A different element type always copies.
+  mp::Payload bytes = mp::Payload::adopt(iota_values(8));
+  const std::vector<std::int32_t> narrowed = bytes.take<std::int32_t>();
+  EXPECT_EQ(narrowed.size(), 16u);
+}
+
+TEST(MpPayload, MutableBytesOnSharedPayloadDetaches) {
+  mp::Payload wire = mp::Payload::adopt(iota_values(16));
+  const mp::Payload retained = wire.share();
+  const std::byte* held = retained.bytes().data();
+  const std::span<std::byte> writable = wire.mutable_bytes();
+  EXPECT_NE(writable.data(), held);
+  writable[0] ^= std::byte{0xFF};
+  EXPECT_NE(wire.bytes()[0], retained.bytes()[0]);
+  EXPECT_EQ(retained.bytes().data(), held);
+  mp::Payload check = retained.share();
+  EXPECT_EQ(check.take<std::int64_t>(), iota_values(16));
+  // A sole owner is written in place.
+  mp::Payload sole = mp::Payload::adopt(iota_values(16));
+  const std::byte* sole_held = sole.bytes().data();
+  EXPECT_EQ(sole.mutable_bytes().data(), sole_held);
+}
+
+// ---------------------------------------------------------------------------
+// Reliable transport: zero-copy with the in-flight copy retained
+// ---------------------------------------------------------------------------
+
+TEST(MpTransport, ReliableMoveSendArrivesAtTheSendersAddress) {
+  mp::RunOptions options;
+  ASSERT_TRUE(options.reliability.enabled);
+  const std::size_t n = (std::size_t{1} << 20) / sizeof(std::int64_t) * 2;
+  std::atomic<const std::int64_t*> sent_at{nullptr};
+  const mp::RunResult run = mp::try_run_ranks(
+      2, kZero,
+      [&](mp::Comm& comm) {
+        if (comm.rank() == 0) {
+          std::vector<std::int64_t> values = iota_values(n);
+          sent_at.store(values.data());
+          comm.send<std::int64_t>(1, 5, std::move(values));
+          // Sent after the big frame: once rank 1 holds this one, the big
+          // frame is already queued, so its receive never waits (no
+          // retransmit timer can put a second reference in flight).
+          comm.send_value<int>(1, 6, 1);
+        } else {
+          EXPECT_EQ(comm.recv_value<int>(0, 6), 1);
+          const std::vector<std::int64_t> got = comm.recv<std::int64_t>(0, 5);
+          EXPECT_EQ(got.data(), sent_at.load());
+          EXPECT_EQ(got, iota_values(n));
+        }
+      },
+      options);
+  EXPECT_FALSE(run.failed()) << run.failure_message;
+}
+
+TEST(MpTransport, CorruptionHealsToTheSentBytesForSpanAndMoveSends) {
+  // op=1 is rank 0's first send in both bodies; the retained copy must stay
+  // clean whether the payload was copied from a span or moved in.
+  for (const bool move_send : {false, true}) {
+    mp::FaultPlan plan;
+    plan.parse("corrupt:r=0,op=1");
+    mp::RunOptions options;
+    options.fault_plan = &plan;
+    const mp::RunResult run = mp::try_run_ranks(
+        2, kZero,
+        [&](mp::Comm& comm) {
+          if (comm.rank() == 0) {
+            std::vector<std::int64_t> values = iota_values(4096);
+            if (move_send) {
+              comm.send<std::int64_t>(1, 9, std::move(values));
+            } else {
+              comm.send<std::int64_t>(1, 9,
+                                      std::span<const std::int64_t>(values));
+            }
+          } else {
+            EXPECT_EQ(comm.recv<std::int64_t>(0, 9), iota_values(4096));
+          }
+        },
+        options);
+    EXPECT_FALSE(run.failed()) << run.failure_message;
+    EXPECT_EQ(plan.corruptions_injected(), 1u) << "move_send " << move_send;
+    EXPECT_GE(run.transport.nacks, 1u) << "move_send " << move_send;
+    EXPECT_GE(run.transport.retransmits, 1u) << "move_send " << move_send;
+  }
 }
 
 }  // namespace
