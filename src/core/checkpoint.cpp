@@ -388,4 +388,23 @@ void clear_checkpoint_write_fault() {
 
 }  // namespace detail
 
+void CheckpointRankWriter::write_segment_offsets(
+    const std::string& tag, std::span<const std::size_t> offsets) {
+  const std::vector<std::uint64_t> raw(offsets.begin(), offsets.end());
+  write_section<std::uint64_t>(tag + "_off", raw);
+}
+
+std::vector<std::size_t> CheckpointRankReader::read_segment_offsets(
+    const std::string& tag, std::size_t num_nodes, std::size_t num_entries) {
+  const std::vector<std::uint64_t> raw =
+      read_section<std::uint64_t>(tag + "_off");
+  if (raw.size() != num_nodes + 1 || raw.front() != 0 ||
+      raw.back() != num_entries || !std::is_sorted(raw.begin(), raw.end())) {
+    throw CheckpointCorruptError("rank " + std::to_string(rank_) +
+                                 " has inconsistent segment offsets for '" +
+                                 tag + "'");
+  }
+  return std::vector<std::size_t>(raw.begin(), raw.end());
+}
+
 }  // namespace scalparc::core

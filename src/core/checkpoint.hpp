@@ -178,6 +178,10 @@ class CheckpointRankWriter {
     }
   }
 
+  // Writes section `tag`_off: the per-node segment bounds of section `tag`.
+  void write_segment_offsets(const std::string& tag,
+                             std::span<const std::size_t> offsets);
+
   void finalize() { detail::write_rank_manifest(dir_, rank_, sections_); }
 
  private:
@@ -229,6 +233,14 @@ class CheckpointRankReader {
     }
     return out;
   }
+
+  // Reads section `tag`_off: the per-node segment bounds of section `tag`.
+  // Bounds that pass their CRC but are not num_nodes + 1 sorted values from
+  // 0 to num_entries throw CheckpointCorruptError — a structurally damaged
+  // checkpoint can never be resumed, whichever engine or world reads it.
+  std::vector<std::size_t> read_segment_offsets(const std::string& tag,
+                                                std::size_t num_nodes,
+                                                std::size_t num_entries);
 
  private:
   std::string dir_;

@@ -51,8 +51,9 @@ struct RestoredList {
 // non-empty `weights` (one positive weight per current rank) the new tiling
 // is proportional instead of uniform — the straggler-rebalance policy's
 // lever for steering work away from a slow rank; uniform weights reproduce
-// the canonical layout bit for bit. Throws CheckpointError on missing,
-// truncated, corrupt or inconsistent sections.
+// the canonical layout bit for bit. Throws CheckpointCorruptError on
+// missing, truncated, corrupt or inconsistent sections, and plain
+// CheckpointError on a bad `weights` size or a malformed peer exchange.
 template <typename Entry>
 RestoredList<Entry> elastic_restore_list(mp::Comm& comm,
                                          const std::string& level_dir,
@@ -84,15 +85,8 @@ RestoredList<Entry> elastic_restore_list(mp::Comm& comm,
   for (std::size_t o = block_offsets[r]; o < block_offsets[r + 1]; ++o) {
     CheckpointRankReader reader(level_dir, static_cast<int>(o));
     const std::vector<Entry> entries = reader.read_section<Entry>(tag);
-    const std::vector<std::uint64_t> raw =
-        reader.read_section<std::uint64_t>(tag + "_off");
-    if (raw.size() != m + 1 || raw.front() != 0 ||
-        raw.back() != entries.size() ||
-        !std::is_sorted(raw.begin(), raw.end())) {
-      throw CheckpointError("writer rank " + std::to_string(o) +
-                            " has inconsistent segment offsets for '" + tag +
-                            "'");
-    }
+    const std::vector<std::size_t> raw =
+        reader.read_segment_offsets(tag, m, entries.size());
     for (std::size_t i = 0; i < m; ++i) {
       per_node[i].insert(
           per_node[i].end(),

@@ -13,7 +13,6 @@
 
 #include "core/checkpoint.hpp"
 #include "core/count_matrix.hpp"
-#include "core/gini.hpp"
 #include "core/histogram.hpp"
 #include "core/induction_internal.hpp"
 #include "core/split_finder.hpp"
@@ -22,8 +21,6 @@
 #include "mp/collective_batch.hpp"
 #include "mp/collectives.hpp"
 #include "mp/metrics.hpp"
-#include "mp/runtime.hpp"
-#include "mp/telemetry.hpp"
 #include "sort/partition_util.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/trace.hpp"
@@ -37,8 +34,6 @@ using data::CategoricalEntry;
 using data::ContinuousEntry;
 using internal::ActiveNode;
 using internal::PhaseSpan;
-using internal::is_pure;
-using internal::majority_class;
 
 // Orders continuous checkpoint entries by (node, value, rid) — the node slot
 // rides in the otherwise-unused pad field during the write — reproducing the
@@ -105,13 +100,8 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   const int bins = options.hist_bins;
   const bool voting = options.split_mode == SplitMode::kVoting;
 
-  if (total_records == 0) {
-    throw std::invalid_argument("induce_tree_quantized: empty training set");
-  }
-  if (options.max_depth < 0 || options.min_split_records < 2 ||
-      !(options.min_gini_improvement >= 0.0)) {
-    throw std::invalid_argument("induce_tree_quantized: bad options");
-  }
+  internal::validate_controls("induce_tree_quantized", total_records,
+                              controls);
   if (bins < 2) {
     throw std::invalid_argument("induce_tree_quantized: hist_bins must be >= 2");
   }
@@ -122,10 +112,6 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   const bool resuming = controls.checkpoint.resume;
   const std::string& ckpt_root = controls.checkpoint.directory;
   const bool checkpointing = !ckpt_root.empty();
-  if (resuming && !checkpointing) {
-    throw std::invalid_argument(
-        "induce_tree_quantized: resume requires a checkpoint directory");
-  }
   if (controls.checkpoint.weighted()) {
     // The quantized engine's record ownership is structural (owner_of_rid
     // tiles [0, total) uniformly), so a weighted restore cannot steer work
@@ -209,39 +195,10 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     row_cls.assign(local_block.labels().begin(), local_block.labels().end());
     meter_rows();
 
-    std::vector<std::int64_t> local_histogram(uc, 0);
-    for (const std::int32_t label : row_cls) {
-      if (label < 0 || label >= c) {
-        throw std::invalid_argument("induce_tree_quantized: label out of range");
-      }
-      ++local_histogram[static_cast<std::size_t>(label)];
-    }
-    const std::vector<std::int64_t> root_totals =
-        mp::allreduce_vec(comm, std::span<const std::int64_t>(local_histogram),
-                          mp::SumOp{});
+    active = internal::grow_root(comm, "induce_tree_quantized", row_cls,
+                                 total_records, options, result.tree);
     comm.add_work(static_cast<double>(local_n));
-
-    TreeNode root;
-    root.is_leaf = true;
-    root.class_counts = root_totals;
-    root.num_records = static_cast<std::int64_t>(total_records);
-    root.majority_class = majority_class(root_totals);
-    root.depth = 0;
-    result.tree.add_node(std::move(root));
-
-    if (!is_pure(root_totals) &&
-        static_cast<std::int64_t>(total_records) >= options.min_split_records &&
-        options.max_depth > 0) {
-      ActiveNode node;
-      node.tree_id = 0;
-      node.depth = 0;
-      node.total = static_cast<std::int64_t>(total_records);
-      node.class_totals = root_totals;
-      active.push_back(std::move(node));
-      node_of.assign(local_n, 0);
-    } else {
-      node_of.assign(local_n, -1);
-    }
+    node_of.assign(local_n, active.empty() ? -1 : 0);
   } else {
     // -----------------------------------------------------------------------
     // Resume. Checkpoints are written as sorted vertical attribute-list
@@ -251,60 +208,10 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     // This one path serves same-world, shrink and grow resumes alike, and
     // accepts checkpoints written by either engine.
     // -----------------------------------------------------------------------
-    int latest = -1;
-    if (comm.rank() == 0) {
-      const std::optional<int> found = checkpoint_latest_level(ckpt_root);
-      if (found) latest = *found;
-    }
-    latest = mp::bcast_value(comm, latest, 0);
-    if (latest < 0) {
-      throw CheckpointError("no complete level checkpoint under '" +
-                            ckpt_root + "'");
-    }
-    const std::string level_dir = checkpoint_level_dir(ckpt_root, latest);
-    const CheckpointManifest manifest = checkpoint_read_manifest(level_dir);
-    if (manifest.level != latest) {
-      throw CheckpointError("manifest level disagrees with its directory name");
-    }
-    if (manifest.ranks != p && !controls.checkpoint.allow_repartition) {
-      throw CheckpointError("checkpoint was written by " +
-                            std::to_string(manifest.ranks) +
-                            " ranks; resuming with " + std::to_string(p));
-    }
-    if (manifest.total_records != total_records ||
-        manifest.num_classes != c || manifest.fingerprint != fp) {
-      throw CheckpointError(
-          "checkpoint parameters do not match this run "
-          "(schema/options/total changed since the checkpoint was written)");
-    }
-
-    mp::JoinCapability capability;
-    capability.fingerprint = fp;
-    capability.total_records = static_cast<std::int64_t>(total_records);
-    capability.num_attributes = static_cast<std::int32_t>(num_cont + num_cat);
-    (void)mp::join_handshake(comm, capability);
-
-    result.tree = checkpoint_read_tree(level_dir, manifest);
-
-    const std::vector<std::int64_t> flat =
-        checkpoint_read_active(level_dir, manifest);
-    const std::size_t stride = 3 + uc;
-    if (flat.size() % stride != 0) {
-      throw CheckpointError("active.bin has a bad record stride");
-    }
-    active.reserve(flat.size() / stride);
-    for (std::size_t i = 0; i < flat.size() / stride; ++i) {
-      const std::int64_t* rec = flat.data() + i * stride;
-      ActiveNode node;
-      node.tree_id = static_cast<int>(rec[0]);
-      node.depth = static_cast<int>(rec[1]);
-      node.total = rec[2];
-      node.class_totals.assign(rec + 3, rec + 3 + c);
-      if (node.tree_id < 0 || node.tree_id >= result.tree.num_nodes()) {
-        throw CheckpointError("active node references a missing tree node");
-      }
-      active.push_back(std::move(node));
-    }
+    internal::RestoredLevel saved = internal::restore_level(
+        comm, controls.checkpoint, total_records, fp,
+        static_cast<int>(num_cont + num_cat), result.tree);
+    active = std::move(saved.active);
 
     // Equal block partition of [0, total) across the current world.
     const std::vector<std::size_t> sizes =
@@ -324,64 +231,47 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     meter_rows();
 
     std::vector<std::vector<RowWire>> sendbufs(static_cast<std::size_t>(p));
-    const auto route_sections = [&](int writer_rank) {
-      CheckpointRankReader reader(level_dir, writer_rank);
-      const auto check_offsets = [&](const std::vector<std::uint64_t>& offs,
-                                     std::size_t num_entries) {
-        if (offs.size() != active.size() + 1 || offs.front() != 0 ||
-            offs.back() != num_entries ||
-            !std::is_sorted(offs.begin(), offs.end())) {
-          throw CheckpointCorruptError(
-              "restored segment offsets are inconsistent");
+    // Routes one section's entries to the owners of their rows; `fill` sets
+    // the list slot and the attribute value.
+    const auto route = [&](const auto& entries,
+                           const std::vector<std::size_t>& offs, auto fill) {
+      for (std::size_t i = 0; i < active.size(); ++i) {
+        for (std::size_t idx = offs[i]; idx < offs[i + 1]; ++idx) {
+          RowWire w;
+          fill(entries[idx], w);
+          w.rid = entries[idx].rid;
+          w.cls = entries[idx].cls;
+          w.node = static_cast<std::int32_t>(i);
+          sendbufs[static_cast<std::size_t>(
+                       owner_of_rid(w.rid, total_records, p))]
+              .push_back(w);
         }
-      };
+      }
+    };
+    for (int writer = comm.rank(); writer < saved.manifest.ranks; writer += p) {
+      CheckpointRankReader reader(saved.dir, writer);
       for (std::size_t li = 0; li < num_cont; ++li) {
         const std::string tag = "cont" + std::to_string(li);
         const std::vector<ContinuousEntry> entries =
             reader.read_section<ContinuousEntry>(tag);
-        const std::vector<std::uint64_t> offs =
-            reader.read_section<std::uint64_t>(tag + "_off");
-        check_offsets(offs, entries.size());
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          for (std::uint64_t idx = offs[i]; idx < offs[i + 1]; ++idx) {
-            const ContinuousEntry& e = entries[static_cast<std::size_t>(idx)];
-            RowWire w;
-            w.value = e.value;
-            w.rid = e.rid;
-            w.slot = static_cast<std::int32_t>(li);
-            w.cls = e.cls;
-            w.node = static_cast<std::int32_t>(i);
-            sendbufs[static_cast<std::size_t>(
-                         owner_of_rid(e.rid, total_records, p))]
-                .push_back(w);
-          }
-        }
+        route(entries,
+              reader.read_segment_offsets(tag, active.size(), entries.size()),
+              [&](const ContinuousEntry& e, RowWire& w) {
+                w.value = e.value;
+                w.slot = static_cast<std::int32_t>(li);
+              });
       }
       for (std::size_t li = 0; li < num_cat; ++li) {
         const std::string tag = "cat" + std::to_string(li);
         const std::vector<CategoricalEntry> entries =
             reader.read_section<CategoricalEntry>(tag);
-        const std::vector<std::uint64_t> offs =
-            reader.read_section<std::uint64_t>(tag + "_off");
-        check_offsets(offs, entries.size());
-        for (std::size_t i = 0; i < active.size(); ++i) {
-          for (std::uint64_t idx = offs[i]; idx < offs[i + 1]; ++idx) {
-            const CategoricalEntry& e = entries[static_cast<std::size_t>(idx)];
-            RowWire w;
-            w.rid = e.rid;
-            w.slot = static_cast<std::int32_t>(num_cont + li);
-            w.ivalue = e.value;
-            w.cls = e.cls;
-            w.node = static_cast<std::int32_t>(i);
-            sendbufs[static_cast<std::size_t>(
-                         owner_of_rid(e.rid, total_records, p))]
-                .push_back(w);
-          }
-        }
+        route(entries,
+              reader.read_segment_offsets(tag, active.size(), entries.size()),
+              [&](const CategoricalEntry& e, RowWire& w) {
+                w.ivalue = e.value;
+                w.slot = static_cast<std::int32_t>(num_cont + li);
+              });
       }
-    };
-    for (int writer = comm.rank(); writer < manifest.ranks; writer += p) {
-      route_sections(writer);
     }
 
     const std::vector<std::vector<RowWire>> received =
@@ -422,10 +312,9 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
             "restored record is missing attribute values");
       }
     }
-    level_index = latest;
-    stats.levels = latest;
+    level_index = saved.manifest.level;
+    stats.levels = saved.manifest.level;
   }
-  stats.presort_seconds = comm.vtime();
 
   // Per-level scratch, hoisted so capacity is reused across levels.
   mp::CollectiveBatch batch(comm);
@@ -445,10 +334,12 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   std::vector<std::size_t> seg_cat(num_cat);
   std::vector<std::int64_t> local_kid_counts;
   std::vector<std::int32_t> child_of_row(node_of.size(), -1);
-  std::vector<std::int64_t> ckpt_active_scratch;
   std::uint64_t histogram_bytes_total = 0;
   std::uint64_t vote_bytes_total = 0;
 
+  // presort_seconds is the setup vtime: Presort on a fresh run, the
+  // checkpoint restore on a resume (the same rule as the exact engine).
+  stats.presort_seconds = comm.vtime();
   setup_span.reset();
 
   // -------------------------------------------------------------------------
@@ -466,90 +357,65 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
       // engine: this engine's rows are widened back into per-attribute
       // sorted AoS sections (one parallel sort per list), so any engine /
       // world size can restore the result.
-      PhaseSpan ckpt_span(comm, "checkpoint_write", level_index, mm,
-                          level_records);
-      if (comm.rank() == 0) checkpoint_prepare_staging(ckpt_root, level_index);
-      mp::barrier(comm);
-      const std::string staging = checkpoint_staging_dir(ckpt_root, level_index);
-      CheckpointRankWriter writer(staging, comm.rank());
-      std::vector<std::uint64_t> offs;
-      const auto offsets_of = [&](auto node_of_entry, std::size_t count) {
-        offs.assign(m + 1, 0);
-        for (std::size_t k = 0; k < count; ++k) {
-          ++offs[static_cast<std::size_t>(node_of_entry(k)) + 1];
+      const auto write_sections = [&](CheckpointRankWriter& writer) {
+        std::vector<std::size_t> offs;
+        const auto offsets_of = [&](auto node_of_entry, std::size_t count) {
+          offs.assign(m + 1, 0);
+          for (std::size_t k = 0; k < count; ++k) {
+            ++offs[static_cast<std::size_t>(node_of_entry(k)) + 1];
+          }
+          for (std::size_t i = 0; i < m; ++i) offs[i + 1] += offs[i];
+        };
+        for (std::size_t li = 0; li < num_cont; ++li) {
+          std::vector<ContinuousEntry> ent;
+          ent.reserve(local_n);
+          for (std::size_t row = 0; row < local_n; ++row) {
+            if (node_of[row] < 0) continue;
+            ContinuousEntry e;
+            e.value = cont_col[li][row];
+            e.rid = my_first + static_cast<std::int64_t>(row);
+            e.cls = row_cls[row];
+            e.pad = node_of[row];
+            ent.push_back(e);
+          }
+          ent = sort::sample_sort(comm, std::move(ent), ContCkptLess{});
+          offsets_of([&](std::size_t k) { return ent[k].pad; }, ent.size());
+          for (ContinuousEntry& e : ent) e.pad = 0;
+          const std::string tag = "cont" + std::to_string(li);
+          writer.write_section<ContinuousEntry>(tag, ent);
+          writer.write_segment_offsets(tag, offs);
         }
-        for (std::size_t i = 0; i < m; ++i) offs[i + 1] += offs[i];
+        for (std::size_t li = 0; li < num_cat; ++li) {
+          std::vector<CatKeyedEntry> keyed;
+          keyed.reserve(local_n);
+          for (std::size_t row = 0; row < local_n; ++row) {
+            if (node_of[row] < 0) continue;
+            CatKeyedEntry e;
+            e.rid = my_first + static_cast<std::int64_t>(row);
+            e.value = cat_col[li][row];
+            e.cls = row_cls[row];
+            e.node = node_of[row];
+            keyed.push_back(e);
+          }
+          keyed = sort::sample_sort(comm, std::move(keyed), CatKeyedLess{});
+          offsets_of([&](std::size_t k) { return keyed[k].node; },
+                     keyed.size());
+          std::vector<CategoricalEntry> ent(keyed.size());
+          for (std::size_t k = 0; k < keyed.size(); ++k) {
+            ent[k] =
+                CategoricalEntry{keyed[k].rid, keyed[k].value, keyed[k].cls};
+          }
+          const std::string tag = "cat" + std::to_string(li);
+          writer.write_section<CategoricalEntry>(tag, ent);
+          writer.write_segment_offsets(tag, offs);
+        }
       };
-      for (std::size_t li = 0; li < num_cont; ++li) {
-        std::vector<ContinuousEntry> ent;
-        ent.reserve(local_n);
-        for (std::size_t row = 0; row < local_n; ++row) {
-          if (node_of[row] < 0) continue;
-          ContinuousEntry e;
-          e.value = cont_col[li][row];
-          e.rid = my_first + static_cast<std::int64_t>(row);
-          e.cls = row_cls[row];
-          e.pad = node_of[row];
-          ent.push_back(e);
-        }
-        ent = sort::sample_sort(comm, std::move(ent), ContCkptLess{});
-        offsets_of([&](std::size_t k) { return ent[k].pad; }, ent.size());
-        for (ContinuousEntry& e : ent) e.pad = 0;
-        const std::string tag = "cont" + std::to_string(li);
-        writer.write_section<ContinuousEntry>(tag, ent);
-        writer.write_section<std::uint64_t>(tag + "_off", offs);
-      }
-      for (std::size_t li = 0; li < num_cat; ++li) {
-        std::vector<CatKeyedEntry> keyed;
-        keyed.reserve(local_n);
-        for (std::size_t row = 0; row < local_n; ++row) {
-          if (node_of[row] < 0) continue;
-          CatKeyedEntry e;
-          e.rid = my_first + static_cast<std::int64_t>(row);
-          e.value = cat_col[li][row];
-          e.cls = row_cls[row];
-          e.node = node_of[row];
-          keyed.push_back(e);
-        }
-        keyed = sort::sample_sort(comm, std::move(keyed), CatKeyedLess{});
-        offsets_of([&](std::size_t k) { return keyed[k].node; }, keyed.size());
-        std::vector<CategoricalEntry> ent(keyed.size());
-        for (std::size_t k = 0; k < keyed.size(); ++k) {
-          ent[k] = CategoricalEntry{keyed[k].rid, keyed[k].value, keyed[k].cls};
-        }
-        const std::string tag = "cat" + std::to_string(li);
-        writer.write_section<CategoricalEntry>(tag, ent);
-        writer.write_section<std::uint64_t>(tag + "_off", offs);
-      }
-      writer.finalize();
-      if (comm.rank() == 0) {
-        std::vector<std::int64_t>& flat = ckpt_active_scratch;
-        flat.clear();
-        flat.reserve(active.size() * (3 + uc));
-        for (const ActiveNode& node : active) {
-          flat.push_back(node.tree_id);
-          flat.push_back(node.depth);
-          flat.push_back(node.total);
-          flat.insert(flat.end(), node.class_totals.begin(),
-                      node.class_totals.end());
-        }
-        CheckpointManifest manifest;
-        manifest.level = level_index;
-        manifest.ranks = p;
-        manifest.num_classes = c;
-        manifest.total_records = total_records;
-        manifest.fingerprint = fp;
-        checkpoint_write_globals(staging, result.tree, flat, manifest);
-      }
-      mp::barrier(comm);
-      if (comm.rank() == 0) checkpoint_commit(ckpt_root, level_index);
-      mp::barrier(comm);
+      internal::write_level_checkpoint(comm, ckpt_root, level_index,
+                                       level_records, result.tree, active,
+                                       total_records, fp, write_sections);
     }
-    comm.fault_level_boundary(level_index);
-
-    const std::uint64_t level_start_bytes = comm.stats().bytes_sent;
-    const auto level_start_calls = comm.stats().calls_by_op;
-    const double level_start_vtime = comm.vtime();
+    const internal::LevelStart level_start =
+        internal::start_level(comm, level_index);
     std::uint64_t level_histogram_bytes = 0;
     std::uint64_t level_vote_bytes = 0;
 
@@ -815,14 +681,8 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
                                CandidateMinOp{});
     }
 
-    std::vector<bool> will_split(m, false);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!best[i].valid()) continue;
-      const double node_impurity =
-          impurity_of_counts(active[i].class_totals, options.criterion);
-      will_split[i] =
-          best[i].gini < node_impurity - options.min_gini_improvement;
-    }
+    const std::vector<bool> will_split =
+        internal::decide_splits(active, best, options);
 
     // Categorical winners: every rank holds the merged matrix, so the
     // value -> child mappings are built redundantly everywhere — no
@@ -844,20 +704,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
       }
     }
 
-    std::vector<int> num_children(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!will_split[i]) continue;
-      if (best[i].kind == SplitKind::kContinuous) {
-        num_children[i] = 2;
-      } else {
-        num_children[i] = num_children_of(value_to_child[i]);
-        if (num_children[i] < 2) {
-          throw std::logic_error(
-              "induction: categorical split with <2 children");
-        }
-      }
-    }
-    stats.findsplit_seconds += comm.vtime() - level_start_vtime;
+    stats.findsplit_seconds += comm.vtime() - level_start.vtime;
     const double split_phase_start_vtime = comm.vtime();
     std::optional<PhaseSpan> split_span(std::in_place, comm, "performsplit_i",
                                         level_index, mm, level_records);
@@ -867,11 +714,9 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     // is one local pass — no node table, no scatter, no enquiries. The only
     // communication is the child class-count allreduce that makes the new
     // tree nodes global.
-    std::vector<std::size_t> kid_offset(m + 1, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      kid_offset[i + 1] =
-          kid_offset[i] + static_cast<std::size_t>(num_children[i]) * uc;
-    }
+    const internal::ChildLayout layout =
+        internal::layout_children(best, will_split, value_to_child, c);
+    const std::vector<std::size_t>& kid_offset = layout.kid_offset;
     local_kid_counts.assign(kid_offset[m], 0);
     child_of_row.assign(local_n, -1);
     for (std::size_t row = 0; row < local_n; ++row) {
@@ -901,18 +746,13 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     }
     comm.add_work(static_cast<double>(local_n));
 
-    std::vector<std::int64_t> global_kid_counts;
-    if (!local_kid_counts.empty()) {
-      batch.reset();
-      const std::size_t seg = batch.add<std::int64_t>(
-          std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-      batch.allreduce();
-      global_kid_counts = batch.take<std::int64_t>(seg);
-    }
+    const std::vector<std::int64_t> global_kid_counts =
+        internal::reduce_kid_counts(comm, batch, local_kid_counts,
+                                    /*fused=*/true);
 
     internal::LevelGrowth growth = internal::grow_tree_level(
-        result.tree, active, best, will_split, num_children, value_to_child,
-        kid_offset, global_kid_counts, c, options);
+        result.tree, active, best, will_split, layout, value_to_child,
+        global_kid_counts, c, options);
 
     split_span.emplace(comm, "performsplit_ii", level_index, mm,
                        level_records);
@@ -933,48 +773,17 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     // ---------------- Level bookkeeping ------------------------------------
     split_span.reset();
     stats.performsplit_seconds += comm.vtime() - split_phase_start_vtime;
-    ++stats.levels;
     histogram_bytes_total += level_histogram_bytes;
     vote_bytes_total += level_vote_bytes;
-    if (controls.collect_level_stats) {
-      PhaseSpan level_span(comm, "level_stats", level_index, mm,
+    internal::finish_level(comm, controls, stats, level_start, level_index, mm,
                            level_records);
-      LevelStats level;
-      level.level = stats.levels;
-      level.active_nodes = mm;
-      level.active_records = level_records;
-      std::uint64_t calls = 0;
-      for (int op = 0; op < mp::kNumCommOps; ++op) {
-        if (op == static_cast<int>(mp::CommOp::kPointToPoint)) continue;
-        calls += comm.stats().calls_by_op[static_cast<std::size_t>(op)] -
-                 level_start_calls[static_cast<std::size_t>(op)];
-      }
-      level.collective_calls = static_cast<std::int64_t>(calls);
-      const std::uint64_t sent = comm.stats().bytes_sent - level_start_bytes;
-      level.max_bytes_sent_per_rank =
-          mp::allreduce_value(comm, sent, mp::MaxOp{});
-      level.vtime_end = comm.vtime();
-      stats.per_level.push_back(level);
-    }
-
-    // Live telemetry: same per-level publish as the exact path (see
-    // induction.cpp) so `train --telemetry-out` covers every split mode.
-    if (telemetry::live_metrics_enabled()) {
-      if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-        mp::MetricsSnapshot live = *sink;
-        absorb_induction_stats(live, stats);
-        mp::absorb_comm_stats(live, comm.stats());
-        telemetry::publish_metrics("rank" + std::to_string(comm.rank()), live);
-      }
-    }
 
     ++level_index;
     active = std::move(growth.next_active);
   }
 
-  stats.total_seconds = comm.vtime();
+  internal::finish_induction(comm, stats);
   if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-    absorb_induction_stats(*sink, stats);
     sink->add("comm.histogram_bytes",
               static_cast<double>(histogram_bytes_total));
     if (voting) {

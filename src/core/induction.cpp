@@ -24,8 +24,6 @@
 #include "mp/collective_batch.hpp"
 #include "mp/collectives.hpp"
 #include "mp/metrics.hpp"
-#include "mp/runtime.hpp"
-#include "mp/telemetry.hpp"
 #include "sort/partition_util.hpp"
 #include "sort/sample_sort.hpp"
 #include "util/arena.hpp"
@@ -42,8 +40,6 @@ using data::ContinuousColumns;
 using data::ContinuousEntry;
 using internal::ActiveNode;
 using internal::PhaseSpan;
-using internal::is_pure;
-using internal::majority_class;
 
 // Element for the boundary exscan in FindSplitII: the last attribute value
 // of a node's segment on each rank; combine keeps the rightmost non-empty.
@@ -97,9 +93,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   const int p = comm.size();
   const int c = schema.num_classes();
 
-  if (total_records == 0) {
-    throw std::invalid_argument("induce_tree_distributed: empty training set");
-  }
   // Histogram/voting modes run on a horizontal record partition with their
   // own level loop (same tree/checkpoint artifacts, O(bins) instead of
   // O(N/p) per-level communication).
@@ -107,19 +100,12 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     return induce_tree_quantized(comm, local_block, first_rid, total_records,
                                  controls);
   }
-  if (options.max_depth < 0 || options.min_split_records < 2 ||
-      options.node_table_update_block < 0 ||
-      !(options.min_gini_improvement >= 0.0)) {
-    throw std::invalid_argument("induce_tree_distributed: bad options");
-  }
+  internal::validate_controls("induce_tree_distributed", total_records,
+                              controls);
 
   const bool resuming = controls.checkpoint.resume;
   const std::string& ckpt_root = controls.checkpoint.directory;
   const bool checkpointing = !ckpt_root.empty();
-  if (resuming && !checkpointing) {
-    throw std::invalid_argument(
-        "induce_tree_distributed: resume requires a checkpoint directory");
-  }
 
   // SPMD argument consistency: every rank must pass the same total, schema
   // and options. A mismatch would otherwise corrupt results silently (e.g.
@@ -185,126 +171,23 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                         util::MemCategory::kAttributeLists,
                                         list.cols.size_bytes());
     }
-    stats.presort_seconds = comm.vtime();
-
-    // -----------------------------------------------------------------------
-    // Root node.
-    // -----------------------------------------------------------------------
-    std::vector<std::int64_t> local_histogram(static_cast<std::size_t>(c), 0);
-    for (const std::int32_t label : local_block.labels()) {
-      if (label < 0 || label >= c) {
-        throw std::invalid_argument("induce_tree_distributed: label out of range");
-      }
-      ++local_histogram[static_cast<std::size_t>(label)];
-    }
-    const std::vector<std::int64_t> root_totals =
-        mp::allreduce_vec(comm, std::span<const std::int64_t>(local_histogram),
-                          mp::SumOp{});
-
-    TreeNode root;
-    root.is_leaf = true;
-    root.class_counts = root_totals;
-    root.num_records = static_cast<std::int64_t>(total_records);
-    root.majority_class = majority_class(root_totals);
-    root.depth = 0;
-    result.tree.add_node(std::move(root));
-
-    if (!is_pure(root_totals) &&
-        static_cast<std::int64_t>(total_records) >= options.min_split_records &&
-        options.max_depth > 0) {
-      ActiveNode node;
-      node.tree_id = 0;
-      node.depth = 0;
-      node.total = static_cast<std::int64_t>(total_records);
-      node.class_totals = root_totals;
-      active.push_back(std::move(node));
-    }
+    active = internal::grow_root(comm, "induce_tree_distributed",
+                                 local_block.labels(), total_records, options,
+                                 result.tree);
 
     for (ContList& list : cont_lists) list.offsets = {0, list.cols.size()};
     for (CatList& list : cat_lists) list.offsets = {0, list.cols.size()};
   } else {
     // -----------------------------------------------------------------------
     // Resume: restore the last complete level checkpoint instead of deriving
-    // the state from the training data. Rank 0 picks the level and
-    // broadcasts it so every rank restores the same directory even if the
-    // root changes underneath the scan.
+    // the state from the training data.
     // -----------------------------------------------------------------------
-    int latest = -1;
-    if (comm.rank() == 0) {
-      const std::optional<int> found = checkpoint_latest_level(ckpt_root);
-      if (found) latest = *found;
-    }
-    latest = mp::bcast_value(comm, latest, 0);
-    if (latest < 0) {
-      throw CheckpointError("no complete level checkpoint under '" +
-                            ckpt_root + "'");
-    }
-    const std::string level_dir = checkpoint_level_dir(ckpt_root, latest);
-    const CheckpointManifest manifest = checkpoint_read_manifest(level_dir);
-    if (manifest.level != latest) {
-      throw CheckpointError("manifest level disagrees with its directory name");
-    }
-    if (!controls.checkpoint.rank_weights.empty() &&
-        controls.checkpoint.rank_weights.size() !=
-            static_cast<std::size_t>(p)) {
-      throw CheckpointError(
-          "rank_weights has " +
-          std::to_string(controls.checkpoint.rank_weights.size()) +
-          " entries but the world has " + std::to_string(p) + " ranks");
-    }
-    // A weighted re-tile is a repartition even at the checkpoint's own rank
-    // count: the per-rank fast path below would reload the uniform layout.
-    const bool weighted = controls.checkpoint.weighted();
-    const bool repartition = manifest.ranks != p || weighted;
-    if (repartition && !controls.checkpoint.allow_repartition) {
-      throw CheckpointError(
-          weighted ? "rank_weights require allow_repartition"
-                   : "checkpoint was written by " +
-                         std::to_string(manifest.ranks) +
-                         " ranks; resuming with " + std::to_string(p));
-    }
-    if (manifest.total_records != total_records ||
-        manifest.num_classes != c || manifest.fingerprint != fp) {
-      throw CheckpointError(
-          "checkpoint parameters do not match this run "
-          "(schema/options/total changed since the checkpoint was written)");
-    }
-
-    // On a grow resume the fresh joiners first pass the capability
-    // handshake: each must present the same checkpoint fingerprint and
-    // dataset geometry rank 0 is restoring against, or the run aborts
-    // before any partition is handed to a bad joiner. This runs whether or
-    // not the world size changed — survivors + joiners can land back on the
-    // checkpoint's world, which resumes without repartitioning but still
-    // admits fresh ranks.
-    mp::JoinCapability capability;
-    capability.fingerprint = fp;
-    capability.total_records = static_cast<std::int64_t>(total_records);
-    capability.num_attributes =
-        static_cast<std::int32_t>(cont_lists.size() + cat_lists.size());
-    (void)mp::join_handshake(comm, capability);
-
-    result.tree = checkpoint_read_tree(level_dir, manifest);
-
-    const std::vector<std::int64_t> flat =
-        checkpoint_read_active(level_dir, manifest);
-    const std::size_t stride = 3 + static_cast<std::size_t>(c);
-    if (flat.size() % stride != 0) {
-      throw CheckpointError("active.bin has a bad record stride");
-    }
-    active.reserve(flat.size() / stride);
-    for (std::size_t i = 0; i < flat.size() / stride; ++i) {
-      const std::int64_t* rec = flat.data() + i * stride;
-      ActiveNode node;
-      node.tree_id = static_cast<int>(rec[0]);
-      node.depth = static_cast<int>(rec[1]);
-      node.total = rec[2];
-      node.class_totals.assign(rec + 3, rec + 3 + c);
-      if (node.tree_id < 0 || node.tree_id >= result.tree.num_nodes()) {
-        throw CheckpointError("active node references a missing tree node");
-      }
-      active.push_back(std::move(node));
-    }
+    internal::RestoredLevel saved = internal::restore_level(
+        comm, controls.checkpoint, total_records, fp,
+        static_cast<int>(cont_lists.size() + cat_lists.size()), result.tree);
+    active = std::move(saved.active);
+    const std::string& level_dir = saved.dir;
+    const CheckpointManifest& manifest = saved.manifest;
 
     // Checkpoint sections are AoS entries; the columns are rebuilt on the
     // way in.
@@ -316,33 +199,23 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
                                         util::MemCategory::kAttributeLists,
                                         list.cols.size_bytes());
     };
-    if (!repartition) {
+    if (!saved.repartition) {
       CheckpointRankReader reader(level_dir, comm.rank());
-      const auto restore_offsets = [&](std::vector<std::uint64_t> raw,
+      const auto restore_offsets = [&](const std::string& tag,
                                        std::size_t num_entries) {
-        std::vector<std::size_t> offsets(raw.begin(), raw.end());
-        if (offsets.size() != active.size() + 1 || offsets.front() != 0 ||
-            offsets.back() != num_entries ||
-            !std::is_sorted(offsets.begin(), offsets.end())) {
-          throw CheckpointError("restored segment offsets are inconsistent");
-        }
-        return offsets;
+        return reader.read_segment_offsets(tag, active.size(), num_entries);
       };
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         const std::string tag = "cont" + std::to_string(li);
         const std::vector<ContinuousEntry> entries =
             reader.read_section<ContinuousEntry>(tag);
-        install(cont_lists[li], entries,
-                restore_offsets(reader.read_section<std::uint64_t>(tag + "_off"),
-                                entries.size()));
+        install(cont_lists[li], entries, restore_offsets(tag, entries.size()));
       }
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         const std::string tag = "cat" + std::to_string(li);
         const std::vector<CategoricalEntry> entries =
             reader.read_section<CategoricalEntry>(tag);
-        install(cat_lists[li], entries,
-                restore_offsets(reader.read_section<std::uint64_t>(tag + "_off"),
-                                entries.size()));
+        install(cat_lists[li], entries, restore_offsets(tag, entries.size()));
       }
     } else {
       // Shrink/grow restore: repartition every list written by
@@ -351,8 +224,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       // node table below is rebuilt for the current world every run, so its
       // shard moves implicitly.
       const std::span<const double> weights =
-          weighted ? std::span<const double>(controls.checkpoint.rank_weights)
-                   : std::span<const double>{};
+          controls.checkpoint.weighted()
+              ? std::span<const double>(controls.checkpoint.rank_weights)
+              : std::span<const double>{};
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         RestoredList<ContinuousEntry> restored =
             elastic_restore_list<ContinuousEntry>(
@@ -368,8 +242,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         install(cat_lists[li], restored.entries, std::move(restored.offsets));
       }
     }
-    level_index = latest;
-    stats.levels = latest;
+    level_index = manifest.level;
+    stats.levels = manifest.level;
   }
 
   // Splitting-phase state. ScalParC keeps the rid -> child mapping in a
@@ -453,8 +327,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   std::vector<std::int64_t> enquiry_scratch;
   std::vector<std::size_t> enquiry_begin(cont_lists.size() + cat_lists.size() +
                                          1);
-  std::vector<std::uint64_t> ckpt_offsets_scratch;
-  std::vector<std::int64_t> ckpt_active_scratch;
   // Checkpoint sections are AoS entries: the columns are widened into these
   // scratch buffers at write time.
   std::vector<ContinuousEntry> ckpt_cont_scratch;
@@ -471,6 +343,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   std::vector<std::size_t> cat_segs(cat_lists.size());
   std::vector<std::size_t> map_segs(cat_lists.size());
 
+  // presort_seconds is the setup vtime: Presort (sort + root histogram) on a
+  // fresh run, the checkpoint restore on a resume.
+  stats.presort_seconds = comm.vtime();
   setup_span.reset();
 
   // -------------------------------------------------------------------------
@@ -481,70 +356,30 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     std::int64_t level_records = 0;
     for (const ActiveNode& node : active) level_records += node.total;
     const auto mm = static_cast<std::int64_t>(m);
-    // Persist this level's consistent state before processing it. The write
-    // is collective: rank 0 prepares the staging directory and later commits
-    // it; every rank contributes its attribute-list partitions in between.
-    // Barriers order the three steps so a committed level_<L> directory
-    // always holds a complete, mutually consistent file set.
+    // Persist this level's consistent state before processing it; every
+    // rank contributes its attribute-list partitions.
     if (checkpointing) {
-      PhaseSpan ckpt_span(comm, "checkpoint_write", level_index, mm,
-                          level_records);
-      if (comm.rank() == 0) checkpoint_prepare_staging(ckpt_root, level_index);
-      mp::barrier(comm);
-      const std::string staging = checkpoint_staging_dir(ckpt_root, level_index);
-      CheckpointRankWriter writer(staging, comm.rank());
-      const auto offsets_u64 =
-          [&](const std::vector<std::size_t>& offsets)
-          -> const std::vector<std::uint64_t>& {
-        ckpt_offsets_scratch.assign(offsets.begin(), offsets.end());
-        return ckpt_offsets_scratch;
-      };
-      for (std::size_t li = 0; li < cont_lists.size(); ++li) {
-        const std::string tag = "cont" + std::to_string(li);
-        data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
-        writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
-        writer.write_section<std::uint64_t>(tag + "_off",
-                                            offsets_u64(cont_lists[li].offsets));
-      }
-      for (std::size_t li = 0; li < cat_lists.size(); ++li) {
-        const std::string tag = "cat" + std::to_string(li);
-        data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
-        writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
-        writer.write_section<std::uint64_t>(tag + "_off",
-                                            offsets_u64(cat_lists[li].offsets));
-      }
-      writer.finalize();
-      if (comm.rank() == 0) {
-        std::vector<std::int64_t>& flat = ckpt_active_scratch;
-        flat.clear();
-        flat.reserve(active.size() * (3 + static_cast<std::size_t>(c)));
-        for (const ActiveNode& node : active) {
-          flat.push_back(node.tree_id);
-          flat.push_back(node.depth);
-          flat.push_back(node.total);
-          flat.insert(flat.end(), node.class_totals.begin(),
-                      node.class_totals.end());
+      const auto write_sections = [&](CheckpointRankWriter& writer) {
+        for (std::size_t li = 0; li < cont_lists.size(); ++li) {
+          const std::string tag = "cont" + std::to_string(li);
+          data::entries_from_columns(cont_lists[li].cols, ckpt_cont_scratch);
+          writer.write_section<ContinuousEntry>(tag, ckpt_cont_scratch);
+          writer.write_segment_offsets(tag, cont_lists[li].offsets);
         }
-        CheckpointManifest manifest;
-        manifest.level = level_index;
-        manifest.ranks = p;
-        manifest.num_classes = c;
-        manifest.total_records = total_records;
-        manifest.fingerprint = fp;
-        checkpoint_write_globals(staging, result.tree, flat, manifest);
-      }
-      mp::barrier(comm);
-      if (comm.rank() == 0) checkpoint_commit(ckpt_root, level_index);
-      mp::barrier(comm);
+        for (std::size_t li = 0; li < cat_lists.size(); ++li) {
+          const std::string tag = "cat" + std::to_string(li);
+          data::entries_from_columns(cat_lists[li].cols, ckpt_cat_scratch);
+          writer.write_section<CategoricalEntry>(tag, ckpt_cat_scratch);
+          writer.write_segment_offsets(tag, cat_lists[li].offsets);
+        }
+      };
+      internal::write_level_checkpoint(comm, ckpt_root, level_index,
+                                       level_records, result.tree, active,
+                                       total_records, fp, write_sections);
     }
-    // Injected level-kills fire here — after this level's checkpoint is
-    // committed — so recovery restarts exactly at the level that failed.
-    comm.fault_level_boundary(level_index);
-
+    const internal::LevelStart level_start =
+        internal::start_level(comm, level_index);
     level_arena.reset();
-    const std::uint64_t level_start_bytes = comm.stats().bytes_sent;
-    const auto level_start_calls = comm.stats().calls_by_op;
-    const double level_start_vtime = comm.vtime();
 
     // ---------------- FindSplitI + FindSplitII -----------------------------
     std::vector<SplitCandidate> best(m);
@@ -741,19 +576,14 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       best = mp::allreduce_vec(comm, std::span<const SplitCandidate>(best),
                                CandidateMinOp{});
     }
-    stats.findsplit_seconds += comm.vtime() - level_start_vtime;
+    stats.findsplit_seconds += comm.vtime() - level_start.vtime;
     const double split_phase_start_vtime = comm.vtime();
     std::optional<PhaseSpan> split_span(std::in_place, comm, "performsplit_i",
                                         level_index, mm, level_records);
 
     // ---------------- Decide which nodes split -----------------------------
-    std::vector<bool> will_split(m, false);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!best[i].valid()) continue;
-      const double node_impurity =
-          impurity_of_counts(active[i].class_totals, options.criterion);
-      will_split[i] = best[i].gini < node_impurity - options.min_gini_improvement;
-    }
+    const std::vector<bool> will_split =
+        internal::decide_splits(active, best, options);
 
     // Categorical winners need the value -> child mapping, which only the
     // attribute's coordinator can build (it holds the global matrix).
@@ -843,28 +673,13 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     }
 
-    std::vector<int> num_children(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!will_split[i]) continue;
-      if (best[i].kind == SplitKind::kContinuous) {
-        num_children[i] = 2;
-      } else {
-        num_children[i] = num_children_of(value_to_child[i]);
-        if (num_children[i] < 2) {
-          throw std::logic_error("induction: categorical split with <2 children");
-        }
-      }
-    }
+    const internal::ChildLayout layout =
+        internal::layout_children(best, will_split, value_to_child, c);
+    const std::vector<std::size_t>& kid_offset = layout.kid_offset;
 
     // ---------------- PerformSplitI ----------------------------------------
     // Assign child slots on the splitting attributes' own lists, collect the
     // node-table updates, and count (node, child, class) locally.
-    std::vector<std::size_t> kid_offset(m + 1, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-      kid_offset[i + 1] = kid_offset[i] +
-                          static_cast<std::size_t>(num_children[i]) *
-                              static_cast<std::size_t>(c);
-    }
     local_kid_counts.assign(kid_offset[m], 0);
     update_rids.clear();
     update_children.clear();
@@ -911,25 +726,14 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     }
 
-    std::vector<std::int64_t> global_kid_counts;
-    if (!local_kid_counts.empty()) {
-      if (fused) {
-        batch.reset();
-        const std::size_t seg = batch.add<std::int64_t>(
-            std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-        batch.allreduce();
-        global_kid_counts = batch.take<std::int64_t>(seg);
-      } else {
-        global_kid_counts = mp::allreduce_vec(
-            comm, std::span<const std::int64_t>(local_kid_counts), mp::SumOp{});
-      }
-    }
+    const std::vector<std::int64_t> global_kid_counts =
+        internal::reduce_kid_counts(comm, batch, local_kid_counts, fused);
 
     // Create the children in the tree (identically on every rank) and build
     // the next level's active set (shared with the quantized engine).
     internal::LevelGrowth growth = internal::grow_tree_level(
-        result.tree, active, best, will_split, num_children, value_to_child,
-        kid_offset, global_kid_counts, c, options);
+        result.tree, active, best, will_split, layout, value_to_child,
+        global_kid_counts, c, options);
     std::vector<ActiveNode>& next_active = growth.next_active;
     std::vector<std::vector<int>>& child_slot_target =
         growth.child_slot_target;
@@ -1061,52 +865,14 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // ---------------- Level bookkeeping ------------------------------------
     split_span.reset();
     stats.performsplit_seconds += comm.vtime() - split_phase_start_vtime;
-    ++stats.levels;
-    if (controls.collect_level_stats) {
-      PhaseSpan level_span(comm, "level_stats", level_index, mm,
+    internal::finish_level(comm, controls, stats, level_start, level_index, mm,
                            level_records);
-      LevelStats level;
-      level.level = stats.levels;
-      level.active_nodes = mm;
-      level.active_records = level_records;
-      // Count collective entries before the level-stats collectives below
-      // add their own.
-      std::uint64_t calls = 0;
-      for (int op = 0; op < mp::kNumCommOps; ++op) {
-        if (op == static_cast<int>(mp::CommOp::kPointToPoint)) continue;
-        calls += comm.stats().calls_by_op[static_cast<std::size_t>(op)] -
-                 level_start_calls[static_cast<std::size_t>(op)];
-      }
-      level.collective_calls = static_cast<std::int64_t>(calls);
-      const std::uint64_t sent = comm.stats().bytes_sent - level_start_bytes;
-      level.max_bytes_sent_per_rank =
-          mp::allreduce_value(comm, sent, mp::MaxOp{});
-      level.vtime_end = comm.vtime();
-      stats.per_level.push_back(level);
-    }
-
-    // Live telemetry: publish a copy of this rank's cumulative counters so
-    // the exporter can sample mid-run. The real sink is untouched; cost when
-    // telemetry is off is one relaxed atomic load.
-    if (telemetry::live_metrics_enabled()) {
-      if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-        mp::MetricsSnapshot live = *sink;
-        absorb_induction_stats(live, stats);
-        mp::absorb_comm_stats(live, comm.stats());
-        telemetry::publish_metrics("rank" + std::to_string(comm.rank()), live);
-      }
-    }
 
     ++level_index;
     active = std::move(next_active);
   }
 
-  stats.total_seconds = comm.vtime();
-  // Surface the phase breakdown through the unified registry when this rank
-  // runs under run_ranks (the thread-local sink is bound there).
-  if (mp::MetricsSnapshot* sink = mp::metrics_sink()) {
-    absorb_induction_stats(*sink, stats);
-  }
+  internal::finish_induction(comm, stats);
   return result;
 }
 

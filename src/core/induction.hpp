@@ -43,7 +43,10 @@ struct LevelStats {
 };
 
 struct InductionStats {
-  double presort_seconds = 0.0;     // modeled virtual time of Presort
+  // Modeled setup time, by one rule in every engine: Presort (with the root
+  // histogram) on a fresh run, the checkpoint restore on a resume. With
+  // findsplit, performsplit and any checkpoint writes it tiles total_seconds.
+  double presort_seconds = 0.0;
   double total_seconds = 0.0;       // modeled virtual time of the whole fit
   // Modeled time spent in split determination (FindSplitI+II) and in the
   // splitting phase (PerformSplitI+II), summed over levels.

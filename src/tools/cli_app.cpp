@@ -19,6 +19,7 @@
 #include "mp/fault.hpp"
 #include "mp/telemetry.hpp"
 #include "sprint/parallel_sprint.hpp"
+#include "tools/observability.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -369,7 +370,6 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   }
 
   const std::string trace_path = args.get_string("trace-out", "");
-  const std::string metrics_path = args.get_string("metrics-out", "");
   const std::int64_t trace_sample = args.get_int("trace-sample", 1);
   if (trace_sample < 1) {
     err << "train: --trace-sample must be >= 1\n";
@@ -387,27 +387,13 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   // Continuous telemetry (off by default; docs/observability.md). The rank
   // threads publish per-level snapshot copies; the exporter samples them on
   // the interval.
-  const std::string telemetry_path = args.get_string("telemetry-out", "");
-  const std::string expose_path = args.get_string("expose-out", "");
-  const std::string flight_path = args.get_string("flight-out", "");
-  const std::int64_t telemetry_interval_ms =
-      args.get_int("telemetry-interval-ms", 1000);
-  if (telemetry_interval_ms < 1) {
-    err << "train: --telemetry-interval-ms must be >= 1\n";
+  ObservabilityFlags obs;
+  if (const std::string bad = obs.parse(args, 1000); !bad.empty()) {
+    err << "train: " << bad << "\n";
     return 2;
   }
-  if (!flight_path.empty()) {
-    telemetry::set_flight_capacity(256);
-    telemetry::arm_flight_dump(flight_path);
-  }
-  std::unique_ptr<telemetry::TelemetryExporter> exporter;
-  if (!telemetry_path.empty() || !expose_path.empty()) {
-    telemetry::TelemetryOptions topts;
-    topts.timeseries_path = telemetry_path;
-    topts.expose_path = expose_path;
-    topts.interval_ms = static_cast<int>(telemetry_interval_ms);
-    exporter = std::make_unique<telemetry::TelemetryExporter>(std::move(topts));
-  }
+  const std::unique_ptr<telemetry::TelemetryExporter> exporter =
+      obs.start_exporter();
 
   const data::Dataset training = data::read_csv_file(data_path);
   core::FitReport report;
@@ -487,16 +473,10 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   // Final epoch captures the end-of-run registry state.
   if (exporter != nullptr) {
     exporter->stop();
-    out << "telemetry: " << exporter->epochs() << " epoch(s) every "
-        << telemetry_interval_ms << " ms";
-    if (!telemetry_path.empty()) out << " -> " << telemetry_path;
-    if (!expose_path.empty()) out << ", expose " << expose_path;
-    out << "\n";
+    out << obs.summary(*exporter);
   }
-  if (!flight_path.empty()) {
-    if (telemetry::dump_flight(flight_path)) {
-      out << "flight recorder written to " << flight_path << "\n";
-    }
+  if (obs.dump_flight()) {
+    out << "flight recorder written to " << obs.flight_path << "\n";
   }
   if (!trace_path.empty()) {
     const util::TraceDump dump = util::TraceCollector::instance().stop();
@@ -516,18 +496,12 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
     out << "trace written to " << trace_path << " (" << dump.spans.size()
         << " span(s))\n";
   }
-  if (!metrics_path.empty()) {
-    util::Json doc = util::Json::object();
-    doc["format"] = util::Json("scalparc-metrics-v1");
-    doc["ranks"] = util::Json(static_cast<double>(ranks));
-    doc["metrics"] = report.run.metrics.to_json();
-    std::ofstream metrics_file(metrics_path);
-    if (!metrics_file) {
-      err << "train: cannot open '" << metrics_path << "' for writing\n";
+  if (!obs.metrics_path.empty()) {
+    if (!obs.write_metrics(ranks, report.run.metrics)) {
+      err << "train: cannot write '" << obs.metrics_path << "'\n";
       return 2;
     }
-    metrics_file << doc.dump(1) << "\n";
-    out << "metrics written to " << metrics_path << " ("
+    out << "metrics written to " << obs.metrics_path << " ("
         << report.run.metrics.size() << " metric(s))\n";
   }
   out << "trained on " << training.num_records() << " records with " << ranks

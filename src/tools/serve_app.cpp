@@ -36,6 +36,7 @@
 #include "mp/metrics.hpp"
 #include "mp/runtime.hpp"
 #include "mp/telemetry.hpp"
+#include "tools/observability.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -119,27 +120,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- continuous telemetry knobs ----------------------------------------
-  const std::string telemetry_path = args.get_string("telemetry-out", "");
-  const std::string expose_path = args.get_string("expose-out", "");
-  const std::string flight_path = args.get_string("flight-out", "");
-  const auto telemetry_interval_ms =
-      static_cast<int>(args.get_int("telemetry-interval-ms", 250));
-  if (telemetry_interval_ms < 1) {
-    std::fputs("scalparc-serve: --telemetry-interval-ms must be >= 1\n",
-               stderr);
-    return 2;
-  }
   const double slo_p99_us = args.get_double("slo-p99-us", 0.0);
   if (args.has("slo-p99-us") && slo_p99_us <= 0.0) {
     std::fputs("scalparc-serve: --slo-p99-us must be > 0\n", stderr);
     return 2;
   }
-
-  // Arm the flight recorder before anything can fail so error exits always
-  // leave a (possibly empty) postmortem document behind.
-  if (!flight_path.empty()) {
-    telemetry::set_flight_capacity(256);
-    telemetry::arm_flight_dump(flight_path);
+  // Parsing arms the flight recorder before anything can fail, so error
+  // exits always leave a (possibly empty) postmortem document behind.
+  tools::ObservabilityFlags obs;
+  if (const std::string bad = obs.parse(args, 250); !bad.empty()) {
+    std::fprintf(stderr, "scalparc-serve: %s\n", bad.c_str());
+    return 2;
   }
 
   try {
@@ -224,23 +215,17 @@ int main(int argc, char** argv) {
     if (slo_p99_us > 0.0) {
       slo = std::make_unique<telemetry::SloTracker>(slo_p99_us);
     }
-    std::unique_ptr<telemetry::TelemetryExporter> exporter;
-    if (!telemetry_path.empty() || !expose_path.empty() || slo != nullptr) {
-      telemetry::TelemetryOptions topts;
-      topts.timeseries_path = telemetry_path;
-      topts.expose_path = expose_path;
-      topts.interval_ms = telemetry_interval_ms;
-      if (slo != nullptr) {
-        telemetry::SloTracker* tracker = slo.get();
-        topts.epoch_hook = [tracker](mp::MetricsSnapshot& merged,
-                                     double epoch_seconds) {
-          tracker->epoch_tick(epoch_seconds);
-          merged.merge(tracker->metrics());
-        };
-      }
-      exporter =
-          std::make_unique<telemetry::TelemetryExporter>(std::move(topts));
+    telemetry::TelemetryOptions topts;
+    if (slo != nullptr) {
+      telemetry::SloTracker* tracker = slo.get();
+      topts.epoch_hook = [tracker](mp::MetricsSnapshot& merged,
+                                   double epoch_seconds) {
+        tracker->epoch_tick(epoch_seconds);
+        merged.merge(tracker->metrics());
+      };
     }
+    const std::unique_ptr<telemetry::TelemetryExporter> exporter =
+        obs.start_exporter(std::move(topts));
 
     // ---- the scoring run -------------------------------------------------
     const std::int32_t num_classes = tree.schema().num_classes();
@@ -271,7 +256,7 @@ int main(int argc, char** argv) {
           const std::string publish_source =
               "serve-rank" + std::to_string(rank);
           const auto publish_every =
-              std::chrono::milliseconds(std::max(1, telemetry_interval_ms / 2));
+              std::chrono::milliseconds(std::max(1, obs.interval_ms / 2));
           auto last_publish = std::chrono::steady_clock::now();
           mp::barrier(comm);
           for (std::size_t round = 0; round < rounds; ++round) {
@@ -380,12 +365,7 @@ int main(int argc, char** argv) {
           slo_metrics.value("slo.burn_seconds"));
     }
     if (exporter != nullptr) {
-      std::printf("telemetry: %d epoch(s) every %d ms%s%s\n",
-                  exporter->epochs(), telemetry_interval_ms,
-                  telemetry_path.empty() ? ""
-                                         : (" -> " + telemetry_path).c_str(),
-                  expose_path.empty() ? ""
-                                      : (", expose " + expose_path).c_str());
+      std::fputs(obs.summary(*exporter).c_str(), stdout);
     }
     std::printf("accuracy: %.4f over %lld record(s)\n", quality.accuracy(),
                 static_cast<long long>(quality.total()));
@@ -441,26 +421,17 @@ int main(int argc, char** argv) {
       }
       std::printf("report written to %s\n", report_path.c_str());
     }
-    const std::string metrics_path = args.get_string("metrics-out", "");
-    if (!metrics_path.empty()) {
-      Json doc = Json::object();
-      doc["format"] = "scalparc-metrics-v1";
-      doc["ranks"] = ranks;
-      doc["metrics"] = run.metrics.to_json();
-      std::ofstream out(metrics_path);
-      out << doc.dump(1) << "\n";
-      if (!out) {
+    if (!obs.metrics_path.empty()) {
+      if (!obs.write_metrics(ranks, run.metrics)) {
         std::fprintf(stderr, "scalparc-serve: cannot write %s\n",
-                     metrics_path.c_str());
+                     obs.metrics_path.c_str());
         return 2;
       }
-      std::printf("metrics written to %s\n", metrics_path.c_str());
+      std::printf("metrics written to %s\n", obs.metrics_path.c_str());
     }
-    if (!flight_path.empty()) {
-      if (telemetry::dump_flight(flight_path)) {
-        std::printf("flight recorder written to %s (%zu event(s))\n",
-                    flight_path.c_str(), telemetry::flight_events().size());
-      }
+    if (obs.dump_flight()) {
+      std::printf("flight recorder written to %s (%zu event(s))\n",
+                  obs.flight_path.c_str(), telemetry::flight_events().size());
     }
     return 0;
   } catch (const std::exception& e) {

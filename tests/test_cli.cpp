@@ -278,5 +278,41 @@ TEST_F(CliWorkflow, TrainsUnderHistogramAndVotingModes) {
   }
 }
 
+TEST_F(CliWorkflow, TrainWritesEveryObservabilityOutput) {
+  const std::string csv = track(temp_path("cli_obs.csv"));
+  const std::string model = track(temp_path("cli_obs.tree"));
+  const std::string telemetry = track(temp_path("cli_obs.telemetry.jsonl"));
+  const std::string expose = track(temp_path("cli_obs.prom"));
+  const std::string flight = track(temp_path("cli_obs.flight.jsonl"));
+  const std::string metrics = track(temp_path("cli_obs.metrics.json"));
+  ASSERT_EQ(run({"generate", "--records", "600", "--out", csv}).code, 0);
+
+  CliResult bad = run({"train", "--data", csv, "--model", model,
+                       "--telemetry-interval-ms", "0"});
+  EXPECT_EQ(bad.code, 2);
+  EXPECT_NE(bad.err.find("--telemetry-interval-ms"), std::string::npos);
+
+  CliResult train = run({"train", "--data", csv, "--model", model, "--ranks",
+                         "2", "--telemetry-out", telemetry, "--expose-out",
+                         expose, "--flight-out", flight, "--metrics-out",
+                         metrics, "--telemetry-interval-ms", "5"});
+  ASSERT_EQ(train.code, 0) << train.err;
+  EXPECT_NE(train.out.find("telemetry: "), std::string::npos);
+  EXPECT_NE(train.out.find(" ms -> " + telemetry + ", expose " + expose),
+            std::string::npos);
+  EXPECT_NE(train.out.find("flight recorder written to " + flight),
+            std::string::npos);
+  EXPECT_NE(train.out.find("metrics written to " + metrics),
+            std::string::npos);
+  for (const std::string& path : {telemetry, expose, flight, metrics}) {
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
+  }
+  std::ifstream in(metrics);
+  std::stringstream doc;
+  doc << in.rdbuf();
+  EXPECT_NE(doc.str().find("scalparc-metrics-v1"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace scalparc

@@ -4,18 +4,24 @@
 // invariants that per-level splitting must preserve.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "core/predict.hpp"
 #include "core/scalparc.hpp"
 #include "core/tree_io.hpp"
 #include "data/synthetic.hpp"
+#include "mp/fault.hpp"
 #include "sprint/parallel_sprint.hpp"
 #include "sprint/serial_cart.hpp"
 #include "sprint/serial_sprint.hpp"
+#include "util/trace.hpp"
 
 namespace scalparc {
 namespace {
@@ -542,8 +548,9 @@ TEST(Induction, MismatchedOptionsAreRejected) {
 
 TEST(Induction, PhaseTimingsAccountedUnderRealCostModel) {
   QuestGenerator generator(GeneratorConfig{.seed = 3, .function = LabelFunction::kF2});
+  const mp::CostModel t3d = mp::CostModel::cray_t3d();
   const auto report = core::ScalParC::fit_generated(
-      generator, 2000, 4, core::InductionControls{}, mp::CostModel::cray_t3d());
+      generator, 2000, 4, core::InductionControls{}, t3d);
   EXPECT_GT(report.stats.findsplit_seconds, 0.0);
   EXPECT_GT(report.stats.performsplit_seconds, 0.0);
   // presort + findsplit + performsplit should cover (almost) the whole fit.
@@ -552,6 +559,52 @@ TEST(Induction, PhaseTimingsAccountedUnderRealCostModel) {
                            report.stats.performsplit_seconds;
   EXPECT_LE(accounted, report.stats.total_seconds * 1.001);
   EXPECT_GT(accounted, report.stats.total_seconds * 0.9);
+
+  // Kill + resume, in both engines: presort_seconds is the setup vtime, here
+  // the checkpoint restore. The resumed fit also writes checkpoints, so the
+  // traced checkpoint_write spans close the tiling exactly.
+  const data::Dataset training = generator.generate(0, 2000);
+  for (const auto mode :
+       {core::SplitMode::kExact, core::SplitMode::kHistogram}) {
+    const std::string what =
+        mode == core::SplitMode::kExact ? "exact resume" : "histogram resume";
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("scalparc_phase_timings_" + std::to_string(::getpid()) + "_" +
+         std::to_string(static_cast<int>(mode)));
+    std::filesystem::remove_all(dir);
+    InductionControls controls;
+    controls.options.split_mode = mode;
+    controls.checkpoint.directory = dir.string();
+    mp::FaultPlan plan;
+    plan.parse("kill:r=1,level=2");
+    mp::RunOptions faulty;
+    faulty.fault_plan = &plan;
+    EXPECT_THROW((void)ScalParC::fit(training, 4, controls, t3d, faulty),
+                 mp::InjectedFault)
+        << what;
+    const bool traced =
+        util::TraceCollector::instance().start(util::TraceConfig{});
+    const core::InductionStats stats =
+        ScalParC::resume_from_checkpoint(training, 4, controls, t3d).stats;
+    std::filesystem::remove_all(dir);
+    EXPECT_GT(stats.presort_seconds, 0.0) << what;
+    EXPECT_GT(stats.findsplit_seconds, 0.0) << what;
+    EXPECT_GT(stats.performsplit_seconds, 0.0) << what;
+    if (!traced) continue;  // tracing compiled out
+    double checkpoint_seconds = 0.0;
+    for (const util::TraceSpan& span :
+         util::TraceCollector::instance().stop().spans) {
+      if (span.rank == 0 && std::string(span.name) == "checkpoint_write") {
+        checkpoint_seconds += span.vtime_end - span.vtime_begin;
+      }
+    }
+    EXPECT_GT(checkpoint_seconds, 0.0) << what;
+    EXPECT_NEAR(stats.presort_seconds + stats.findsplit_seconds +
+                    stats.performsplit_seconds + checkpoint_seconds,
+                stats.total_seconds, 1e-6 * stats.total_seconds)
+        << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

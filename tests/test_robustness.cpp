@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -18,6 +19,7 @@
 #include "data/csv.hpp"
 #include "data/synthetic.hpp"
 #include "sprint/serial_sprint.hpp"
+#include "util/crc32.hpp"
 #include "util/random.hpp"
 
 namespace scalparc {
@@ -415,6 +417,42 @@ TEST_F(CheckpointDamage, DamagedLatestLevelFallsBackToEarlierOne) {
   dump_file(fs::path(latest_) / "MANIFEST", "scalparc-ckpt v1\nlevel ");
   ASSERT_EQ(*core::checkpoint_latest_level(root_), damaged - 1);
   EXPECT_EQ(tree_text(resume().tree), expected_);
+}
+
+// Segment offsets that pass their CRC but are unsorted are structural
+// damage. Every restore path must call it CheckpointCorruptError — the class
+// fit_with_recovery answers by discarding the level — rather than a plain
+// CheckpointError, which would re-resume the same unusable level until the
+// retries run out.
+TEST_F(CheckpointDamage, UnsortedSegmentOffsetsAreCorruptInEveryRestorePath) {
+  const fs::path section = fs::path(latest_) / "rank0_cont0_off.bin";
+  std::string bytes = slurp_file(section);
+  std::vector<std::uint64_t> offsets(bytes.size() / sizeof(std::uint64_t));
+  ASSERT_GE(offsets.size(), 3u) << "the latest level needs >= 2 active nodes";
+  std::memcpy(offsets.data(), bytes.data(), bytes.size());
+  offsets[1] = offsets.back() + 1;  // bounds intact, interior unsorted
+  std::memcpy(bytes.data(), offsets.data(), bytes.size());
+  dump_file(section, bytes);
+  std::vector<core::detail::SectionInfo> sections =
+      core::detail::read_rank_manifest(latest_, 0);
+  for (core::detail::SectionInfo& info : sections) {
+    if (info.name == "cont0_off") {
+      info.crc = util::crc32(bytes.data(), bytes.size());
+    }
+  }
+  core::detail::write_rank_manifest(latest_, 0, sections);
+
+  EXPECT_THROW(resume(), core::CheckpointCorruptError) << "exact, same world";
+  core::InductionControls histogram = controls_;
+  histogram.options.split_mode = core::SplitMode::kHistogram;
+  EXPECT_THROW(core::ScalParC::resume_from_checkpoint(training_, 2, histogram),
+               core::CheckpointCorruptError)
+      << "histogram";
+  core::InductionControls elastic = controls_;
+  elastic.checkpoint.allow_repartition = true;
+  EXPECT_THROW(core::ScalParC::resume_from_checkpoint(training_, 3, elastic),
+               core::CheckpointCorruptError)
+      << "exact, re-tiled across 3 ranks";
 }
 
 // Fuzz: flip one random byte anywhere in the newest checkpoint; a resume
