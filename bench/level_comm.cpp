@@ -21,10 +21,11 @@
 // --out writes the machine-readable JSON document; --validate re-parses a
 // document (the one just written, or any existing one) and checks its
 // schema plus the headline claims — fused modeled vtime <= unfused at every
-// measured processor count, and histogram-mode first-level bytes flat in
-// the record count while the exact engine's grow with it — exiting non-zero
-// on violation. The `perf` ctest label runs this at tiny scale as a smoke
-// test.
+// measured processor count, histogram-mode first-level bytes flat in the
+// record count while the exact engine's grow with it, and histogram-mode
+// bytes flat in the processor count (the owner-sliced merge) — exiting
+// non-zero on violation. The `perf` ctest label runs this at tiny scale as
+// a smoke test.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -152,6 +153,9 @@ bool validate(const Json& doc) {
     // the flatness claim.
     std::map<int, std::map<std::string, std::map<std::int64_t, std::int64_t>>>
         level1_bytes;
+    // Whole-run max bytes per (procs, mode) at the base record count.
+    std::map<int, std::map<std::string, std::int64_t>> run_bytes;
+    const std::int64_t base_records = doc.at("records").as_int();
     for (const Json& run : runs) {
       const int procs = static_cast<int>(run.at("procs").as_int());
       if (procs <= 0) return complain("run has procs <= 0");
@@ -196,6 +200,9 @@ bool validate(const Json& doc) {
       if (fused) {
         level1_bytes[procs][mode][records] =
             levels.front().at("max_bytes_sent_per_rank").as_int();
+        if (records == base_records) {
+          run_bytes[procs][mode] = run.at("max_bytes_sent_per_rank").as_int();
+        }
       }
       // details.metrics must decode as a metrics registry snapshot with the
       // comm.* family present (the vocabulary shared with --metrics-out);
@@ -260,6 +267,37 @@ bool validate(const Json& doc) {
     }
     if (!flat_checked) {
       return complain("no two-scale histogram/exact pair to check flatness");
+    }
+    // Claim 3: histogram-mode bytes are flat in p. The owner-sliced merge
+    // has each rank send (p-1)/p of a level's histograms, so at the largest
+    // measured p the max bytes/rank — of level 1 and of the whole run, at
+    // the base record count — stay within 2x of p=2, and at p=16 they do
+    // not exceed the exact engine's.
+    const auto hist_bytes = [&](int procs, const std::string& mode,
+                                bool whole_run) -> std::int64_t {
+      if (whole_run) return run_bytes.at(procs).at(mode);
+      return level1_bytes.at(procs).at(mode).at(base_records);
+    };
+    const int largest = level1_bytes.rbegin()->first;
+    if (level1_bytes.count(2) == 0 || largest <= 2) {
+      return complain("p-flatness claim needs p=2 and a larger p");
+    }
+    for (const bool whole_run : {false, true}) {
+      const std::string what = whole_run ? "run" : "level-1";
+      const double ratio =
+          static_cast<double>(hist_bytes(largest, "histogram", whole_run)) /
+          static_cast<double>(hist_bytes(2, "histogram", whole_run));
+      if (ratio > 2.0) {
+        return complain("histogram " + what + " bytes at p=" +
+                        std::to_string(largest) + " are " +
+                        std::to_string(ratio) + "x the p=2 value");
+      }
+      if (level1_bytes.count(16) != 0 &&
+          hist_bytes(16, "histogram", whole_run) >
+              hist_bytes(16, "exact", whole_run)) {
+        return complain("histogram " + what +
+                        " bytes exceed exact mode at p=16");
+      }
     }
   } catch (const std::exception& e) {
     return complain(e.what());

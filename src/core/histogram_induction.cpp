@@ -328,10 +328,15 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   std::vector<std::int32_t> votes;         // [node][attribute], voting only
   std::vector<std::uint8_t> elected_mask;  // [node][attribute]
   std::vector<std::vector<std::size_t>> elected_nodes(num_cont + num_cat);
-  std::vector<std::int64_t> merge_counts_scratch;
+  std::vector<std::int64_t> merge_counts_scratch;  // voting gather
   std::vector<double> merge_min_scratch;
+  // This rank's owner slices: segment ids, and per list the position of
+  // its first node within elected_nodes.
   std::vector<std::size_t> seg_counts(num_cont), seg_min(num_cont);
   std::vector<std::size_t> seg_cat(num_cat);
+  std::vector<std::size_t> owned_first(num_cont + num_cat);
+  std::vector<std::int32_t> mapping_scratch;
+  std::vector<std::size_t> map_segs;  // per owner, its mapping segment
   std::vector<std::int64_t> local_kid_counts;
   std::vector<std::int32_t> child_of_row(node_of.size(), -1);
   std::uint64_t histogram_bytes_total = 0;
@@ -578,10 +583,14 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
       }
     }
 
-    // Round 2: merge the elected histograms / count matrices, packed into
-    // one allreduce. The elected sets derive from global data, so every
-    // rank builds the identical segment directory.
-    batch.reset();
+    // Round 2: the owner-sliced merge (PV-Tree's reduce-scatter). Rank r
+    // owns the active nodes [own_off[r], own_off[r+1]); each (list, owner)
+    // slice of the elected histograms / count matrices is one segment
+    // rooted at its owner, so a single reduce_rooted round leaves every
+    // owner the merged histograms of exactly its own nodes. Each rank
+    // sends and combines (p-1)/p of the level's histograms. The elected
+    // sets derive from global data, so every rank builds the identical
+    // segment directory.
     for (std::size_t li = 0; li < num_cont + num_cat; ++li) {
       const int attr = li < num_cont ? cont_attr[li] : cat_attr[li - num_cont];
       std::vector<std::size_t>& nodes = elected_nodes[li];
@@ -593,43 +602,92 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         }
       }
     }
+    const std::vector<std::size_t> own_off =
+        sort::offsets_from_sizes(sort::equal_partition_sizes(m, p));
+    const auto me = static_cast<std::size_t>(comm.rank());
+    // Adds `src` — `stride` elements per entry of `nodes` — as one segment
+    // per owner. Returns this rank's segment and stores the position of its
+    // first node within `nodes` in `first`.
+    const auto add_owner_slices =
+        [&]<typename T, typename Op>(const std::vector<std::size_t>& nodes,
+                                     const T* src, std::size_t stride, Op op,
+                                     T identity, std::size_t& first) {
+          std::size_t mine = 0;
+          for (int r = 0; r < p; ++r) {
+            const auto ur = static_cast<std::size_t>(r);
+            const auto lo = static_cast<std::size_t>(
+                std::lower_bound(nodes.begin(), nodes.end(), own_off[ur]) -
+                nodes.begin());
+            const auto hi = static_cast<std::size_t>(
+                std::lower_bound(nodes.begin(), nodes.end(), own_off[ur + 1]) -
+                nodes.begin());
+            const std::size_t seg = batch.add<T>(
+                std::span<const T>(src + lo * stride, (hi - lo) * stride), op,
+                identity, r);
+            if (ur == me) {
+              mine = seg;
+              first = lo;
+            }
+          }
+          return mine;
+        };
+    // Owner slices of a list whose every node is elected (always in
+    // histogram mode) are contiguous in the local histograms; a voting
+    // election first gathers the elected nodes' rows.
+    batch.reset();
     for (std::size_t li = 0; li < num_cont; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[li];
-      merge_counts_scratch.assign(nodes.size() * ubins * uc, 0);
-      merge_min_scratch.assign(nodes.size() * ubins,
-                               std::numeric_limits<double>::infinity());
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const std::size_t i = nodes[k];
-        std::copy_n(cont_counts.data() + (li * m + i) * ubins * uc, ubins * uc,
-                    merge_counts_scratch.data() + k * ubins * uc);
-        std::copy_n(cont_bin_min.data() + (li * m + i) * ubins, ubins,
-                    merge_min_scratch.data() + k * ubins);
+      const std::int64_t* counts = cont_counts.data() + li * m * ubins * uc;
+      const double* mins = cont_bin_min.data() + li * m * ubins;
+      if (nodes.size() != m) {
+        merge_counts_scratch.resize(nodes.size() * ubins * uc);
+        merge_min_scratch.resize(nodes.size() * ubins);
+        for (std::size_t k = 0; k < nodes.size(); ++k) {
+          std::copy_n(counts + nodes[k] * ubins * uc, ubins * uc,
+                      merge_counts_scratch.data() + k * ubins * uc);
+          std::copy_n(mins + nodes[k] * ubins, ubins,
+                      merge_min_scratch.data() + k * ubins);
+        }
+        counts = merge_counts_scratch.data();
+        mins = merge_min_scratch.data();
       }
-      seg_counts[li] = batch.add<std::int64_t>(
-          std::span<const std::int64_t>(merge_counts_scratch), mp::SumOp{},
-          std::int64_t{0});
-      seg_min[li] = batch.add<double>(
-          std::span<const double>(merge_min_scratch), mp::MinOp{},
-          std::numeric_limits<double>::infinity());
+      seg_counts[li] = add_owner_slices(nodes, counts, ubins * uc, mp::SumOp{},
+                                        std::int64_t{0}, owned_first[li]);
+      seg_min[li] = add_owner_slices(nodes, mins, ubins, mp::MinOp{},
+                                     std::numeric_limits<double>::infinity(),
+                                     owned_first[li]);
     }
     for (std::size_t li = 0; li < num_cat; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[num_cont + li];
-      const auto card = static_cast<std::size_t>(cat_card[li]);
-      merge_counts_scratch.assign(nodes.size() * card * uc, 0);
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const std::size_t i = nodes[k];
-        std::copy_n(cat_counts.data() + cat_counts_begin[li] + i * card * uc,
-                    card * uc, merge_counts_scratch.data() + k * card * uc);
+      const std::size_t stride = static_cast<std::size_t>(cat_card[li]) * uc;
+      const std::int64_t* counts = cat_counts.data() + cat_counts_begin[li];
+      if (nodes.size() != m) {
+        merge_counts_scratch.resize(nodes.size() * stride);
+        for (std::size_t k = 0; k < nodes.size(); ++k) {
+          std::copy_n(counts + nodes[k] * stride, stride,
+                      merge_counts_scratch.data() + k * stride);
+        }
+        counts = merge_counts_scratch.data();
       }
-      seg_cat[li] = batch.add<std::int64_t>(
-          std::span<const std::int64_t>(merge_counts_scratch), mp::SumOp{},
-          std::int64_t{0});
+      seg_cat[li] =
+          add_owner_slices(nodes, counts, stride, mp::SumOp{}, std::int64_t{0},
+                           owned_first[num_cont + li]);
     }
-    phase->set_bytes(static_cast<std::int64_t>(batch.packed_bytes()));
-    level_histogram_bytes += batch.packed_bytes();
-    // This level's histogram working set: the local histograms, the merge
-    // scratch (reused list by list, so its capacity is what it holds) and
-    // the packed buffer the allreduce moves.
+    // Payload of the segments other ranks root: what this rank sends in a
+    // rooted reduce, and receives in a rooted broadcast.
+    const auto off_rank_bytes = [&] {
+      std::size_t bytes = 0;
+      for (int r = 0; r < p; ++r) {
+        if (r != comm.rank()) bytes += batch.rooted_bytes(r);
+      }
+      return bytes;
+    };
+    const std::size_t scattered_bytes = off_rank_bytes();
+    phase->set_bytes(static_cast<std::int64_t>(scattered_bytes));
+    level_histogram_bytes += scattered_bytes;
+    // This level's histogram working set: the local histograms, the voting
+    // gather scratch (reused list by list, so its capacity is what it
+    // holds) and the packed buffer of the round.
     const util::ScopedAllocation histogram_mem(
         comm.meter(), util::MemCategory::kCountMatrices,
         (cont_counts.size() + cat_counts.size() +
@@ -638,18 +696,26 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
             (cont_bin_min.size() + merge_min_scratch.capacity()) *
                 sizeof(double) +
             batch.packed_bytes());
-    batch.allreduce();
+    {
+      // Plus, while the round runs, the p-1 slices this rank receives and
+      // combines as the owner of its nodes.
+      const util::ScopedAllocation received_mem(
+          comm.meter(), util::MemCategory::kCountMatrices,
+          static_cast<std::size_t>(p - 1) * batch.rooted_bytes(comm.rank()));
+      batch.reduce_rooted();
+    }
 
-    // ---------------- FindSplitII: evaluate the merged histograms ----------
+    // ---------------- FindSplitII: evaluate the owned histograms -----------
+    // Each rank scans only its own nodes; every other node keeps the
+    // invalid candidate, the identity of the winner merge below.
     phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
     std::vector<SplitCandidate> best(m);
     for (std::size_t li = 0; li < num_cont; ++li) {
-      const std::vector<std::size_t>& nodes = elected_nodes[li];
       const std::span<const std::int64_t> counts =
           batch.view<std::int64_t>(seg_counts[li]);
       const std::span<const double> mins = batch.view<double>(seg_min[li]);
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const std::size_t i = nodes[k];
+      for (std::size_t k = 0; k < mins.size() / ubins; ++k) {
+        const std::size_t i = elected_nodes[li][owned_first[li] + k];
         best_histogram_split(counts.subspan(k * ubins * uc, ubins * uc),
                              mins.subspan(k * ubins, ubins),
                              active[i].class_totals, bins, options.criterion,
@@ -657,50 +723,99 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         comm.add_work(static_cast<double>(ubins));
       }
     }
+    // The merged count matrix of categorical list li at position k of this
+    // rank's slice.
+    const auto owned_matrix = [&](std::size_t li, std::size_t k) {
+      const std::size_t stride = static_cast<std::size_t>(cat_card[li]) * uc;
+      return CountMatrix::from_flat(
+          cat_card[li], c,
+          batch.view<std::int64_t>(seg_cat[li]).subspan(k * stride, stride));
+    };
     for (std::size_t li = 0; li < num_cat; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[num_cont + li];
-      const auto card = static_cast<std::size_t>(cat_card[li]);
-      const std::span<const std::int64_t> counts =
-          batch.view<std::int64_t>(seg_cat[li]);
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const std::size_t i = nodes[k];
-        const CountMatrix matrix = CountMatrix::from_flat(
-            cat_card[li], c, counts.subspan(k * card * uc, card * uc));
+      const std::size_t owned =
+          batch.view<std::int64_t>(seg_cat[li]).size() /
+          (static_cast<std::size_t>(cat_card[li]) * uc);
+      for (std::size_t k = 0; k < owned; ++k) {
+        const std::size_t i = nodes[owned_first[num_cont + li] + k];
         const SplitCandidate cand = best_categorical_split(
-            matrix, static_cast<std::int32_t>(cat_attr[li]),
+            owned_matrix(li, k), static_cast<std::int32_t>(cat_attr[li]),
             options.categorical_split, options.criterion);
         if (candidate_less(cand, best[i])) best[i] = cand;
-        comm.add_work(static_cast<double>(card));
+        comm.add_work(static_cast<double>(cat_card[li]));
       }
     }
-    {
-      // All ranks evaluated identical global inputs, so this min-allreduce
-      // is a pure SPMD-divergence guard (and keeps the exact engine's
-      // closing collective structure).
-      best = mp::allreduce_vec(comm, std::span<const SplitCandidate>(best),
-                               CandidateMinOp{});
-    }
+    // The winner merge: each node's candidate comes from its owner.
+    best = mp::allreduce_vec(comm, std::span<const SplitCandidate>(best),
+                             CandidateMinOp{});
 
     const std::vector<bool> will_split =
         internal::decide_splits(active, best, options);
 
-    // Categorical winners: every rank holds the merged matrix, so the
-    // value -> child mappings are built redundantly everywhere — no
-    // broadcast round. Copy them out before the batch is reused.
+    // Categorical winners: only a node's owner holds its merged count
+    // matrix, so owners build the value -> child mappings and publish them
+    // in one bcast_rooted round, skipped when no node splits on a
+    // categorical attribute. Winners and cardinalities are global, so
+    // every rank sizes every owner's segment identically.
+    const auto is_cat_winner = [&](std::size_t i) {
+      return will_split[i] && best[i].kind != SplitKind::kContinuous;
+    };
+    const auto cat_slot_of = [&](std::size_t i) {
+      return static_cast<std::size_t>(
+          slot_of_attr[static_cast<std::size_t>(best[i].attribute)]);
+    };
+    const auto card_of = [&](std::size_t i) {
+      return static_cast<std::size_t>(cat_card[cat_slot_of(i)]);
+    };
     std::vector<std::vector<std::int32_t>> value_to_child(m);
-    for (std::size_t li = 0; li < num_cat; ++li) {
+    for (std::size_t i = own_off[me]; i < own_off[me + 1]; ++i) {
+      if (!is_cat_winner(i)) continue;
+      const std::size_t li = cat_slot_of(i);
       const std::vector<std::size_t>& nodes = elected_nodes[num_cont + li];
-      const auto card = static_cast<std::size_t>(cat_card[li]);
-      const std::span<const std::int64_t> counts =
-          batch.view<std::int64_t>(seg_cat[li]);
-      for (std::size_t k = 0; k < nodes.size(); ++k) {
-        const std::size_t i = nodes[k];
-        if (!will_split[i] || best[i].attribute != cat_attr[li]) continue;
-        const CountMatrix matrix = CountMatrix::from_flat(
-            cat_card[li], c, counts.subspan(k * card * uc, card * uc));
-        value_to_child[i] = best[i].kind == SplitKind::kCategoricalMultiWay
-                                ? value_to_child_multiway(matrix)
-                                : value_to_child_subset(matrix, best[i].subset);
+      const auto k = static_cast<std::size_t>(
+          std::lower_bound(nodes.begin(), nodes.end(), i) - nodes.begin());
+      const CountMatrix matrix =
+          owned_matrix(li, k - owned_first[num_cont + li]);
+      value_to_child[i] = best[i].kind == SplitKind::kCategoricalMultiWay
+                              ? value_to_child_multiway(matrix)
+                              : value_to_child_subset(matrix, best[i].subset);
+    }
+    batch.reset();
+    map_segs.assign(static_cast<std::size_t>(p), 0);
+    for (int r = 0; r < p; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      mapping_scratch.clear();
+      for (std::size_t i = own_off[ur]; i < own_off[ur + 1]; ++i) {
+        if (!is_cat_winner(i)) continue;
+        if (ur == me) {
+          mapping_scratch.insert(mapping_scratch.end(),
+                                 value_to_child[i].begin(),
+                                 value_to_child[i].end());
+        } else {
+          mapping_scratch.resize(mapping_scratch.size() + card_of(i), 0);
+        }
+      }
+      if (mapping_scratch.empty()) continue;
+      map_segs[ur] = batch.add<std::int32_t>(
+          std::span<const std::int32_t>(mapping_scratch), mp::SumOp{},
+          std::int32_t{0}, r);
+    }
+    {
+      const util::ScopedAllocation received_mem(
+          comm.meter(), util::MemCategory::kCountMatrices, off_rank_bytes());
+      batch.bcast_rooted();  // no segments, no round
+    }
+    for (int r = 0; r < p; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      if (ur == me) continue;
+      std::size_t cursor = 0;
+      for (std::size_t i = own_off[ur]; i < own_off[ur + 1]; ++i) {
+        if (!is_cat_winner(i)) continue;
+        const std::span<const std::int32_t> flat =
+            batch.view<std::int32_t>(map_segs[ur]);
+        value_to_child[i].assign(flat.begin() + cursor,
+                                 flat.begin() + cursor + card_of(i));
+        cursor += card_of(i);
       }
     }
 

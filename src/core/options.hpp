@@ -45,8 +45,8 @@ enum class SplitMode : int {
   // node-table splitting. The accuracy oracle; byte-identical trees at any
   // processor count.
   kExact = 0,
-  // Fixed-width per-attribute, per-node class histograms merged in one
-  // packed allreduce; candidates at bin boundaries. Trees are still
+  // Fixed-width per-attribute, per-node class histograms, reduce-scattered
+  // to the owner of each node; candidates at bin boundaries. Trees are still
   // processor-count invariant (bin edges come from a global min/max
   // allreduce; thresholds are real data values — the per-bin minimum), but
   // may differ from exact where a bin straddles the exact cut.

@@ -25,6 +25,7 @@ void CollectiveBatch::combine_all(std::byte* dst,
 
 void CollectiveBatch::pack_rooted(int root) {
   pack_.clear();
+  pack_.reserve(rooted_bytes(root));
   for (const Segment& seg : segments_) {
     if (seg.root != root) continue;
     pack_.insert(pack_.end(), buffer_.data() + seg.offset,
@@ -32,11 +33,12 @@ void CollectiveBatch::pack_rooted(int root) {
   }
 }
 
-bool CollectiveBatch::owns_any(int root) const {
+std::size_t CollectiveBatch::rooted_bytes(int root) const {
+  std::size_t bytes = 0;
   for (const Segment& seg : segments_) {
-    if (seg.root == root) return true;
+    if (seg.root == root) bytes += seg.bytes;
   }
-  return false;
+  return bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -150,12 +152,12 @@ void CollectiveBatch::reduce_rooted() {
   const std::int64_t tag = comm_.next_collective_tag();
 
   for (int dst = 0; dst < p; ++dst) {
-    if (dst == r || !owns_any(dst)) continue;
+    if (dst == r || rooted_bytes(dst) == 0) continue;
     pack_rooted(dst);
     // The pack is dead after the send: hand the buffer to the mailbox.
     comm_.send<std::byte>(dst, tag, std::move(pack_));
   }
-  if (!owns_any(r)) return;
+  if (rooted_bytes(r) == 0) return;
   for (int src = 0; src < p; ++src) {
     if (src == r) continue;
     const std::vector<std::byte> incoming = comm_.recv<std::byte>(src, tag);
@@ -191,7 +193,7 @@ void CollectiveBatch::bcast_rooted() {
   if (p == 1) return;
   const std::int64_t tag = comm_.next_collective_tag();
 
-  if (owns_any(r)) {
+  if (rooted_bytes(r) > 0) {
     pack_rooted(r);
     for (int dst = 0; dst < p; ++dst) {
       if (dst == r) continue;
@@ -199,7 +201,7 @@ void CollectiveBatch::bcast_rooted() {
     }
   }
   for (int src = 0; src < p; ++src) {
-    if (src == r || !owns_any(src)) continue;
+    if (src == r || rooted_bytes(src) == 0) continue;
     const std::vector<std::byte> incoming = comm_.recv<std::byte>(src, tag);
     std::size_t cursor = 0;
     for (const Segment& seg : segments_) {

@@ -22,7 +22,9 @@
 //                    per distinct root); only the root's view is defined
 //   bcast_rooted()   each segment is published by its root to all ranks
 //
-// Segments may be empty. reset() clears the directory but keeps buffer
+// Segments may be empty. A root whose segments are all empty exchanges no
+// message in the rooted rounds (every rank reads that off the directory).
+// reset() clears the directory but keeps buffer
 // capacity so a batch can be reused across tree levels without
 // reallocating. Combine functors must be stateless (empty class) so they
 // can be re-instantiated inside the type-erased dispatch thunk.
@@ -86,6 +88,9 @@ class CollectiveBatch {
     return segments_.empty() ? 0
                              : segments_.back().offset + segments_.back().bytes;
   }
+  // Payload bytes of the segments rooted at `root`: the size of one
+  // reduce_rooted()/bcast_rooted() message to or from that root.
+  std::size_t rooted_bytes(int root) const;
 
   // --- rounds (each is one collective operation in mp::Stats) -------------
   void exscan();
@@ -162,7 +167,6 @@ class CollectiveBatch {
                    bool incoming_left) const;
   // Packs the segments owned by `root` into `pack_` (directory order).
   void pack_rooted(int root);
-  bool owns_any(int root) const;
 
   Comm& comm_;
   std::vector<Segment> segments_;

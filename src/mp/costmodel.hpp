@@ -70,17 +70,19 @@ struct CostModel {
 // expressions the design argues from:
 //
 //   exact      ~ O(active_records / p)          — node-table traffic
-//   histogram  ~ O(attrs x bins x classes)      — independent of N
+//   histogram  ~ O(attrs x bins x classes)      — independent of N and p
 //   voting     ~ O(2k x bins x classes)         — independent of N and attrs
 //
-// The quantized predictors enumerate the actual packed allreduce segments of
-// the histogram engine (range merge, counts, bin minima, categorical count
-// matrices, vote tallies, split candidates, child class counts) times the
-// ceil(log2 p) recursive-doubling rounds, so they land within a few percent
-// of measurement. The exact-engine predictor is a calibrated shape, not an
-// enumeration: its traffic is the all-to-all hash-table probe/update stream,
-// of which a (1 - 1/p) fraction leaves the rank. bench/comm_model prints
-// all three against measured values.
+// The quantized predictors enumerate the actual rounds of the histogram
+// engine: the owner-sliced reduce-scatter of the merged histograms (counts,
+// bin minima, categorical count matrices), the ceil(log2 p)-round binomial
+// allreduces of the small per-node state (value ranges, vote tallies, split
+// candidates, child class counts) and the rooted broadcast of categorical
+// value -> child mappings. The histogram predictor lands within a few
+// percent of measurement. The exact-engine predictor is a calibrated shape,
+// not an enumeration: its traffic is the all-to-all hash-table probe/update
+// stream, of which a (1 - 1/p) fraction leaves the rank. bench/comm_model
+// prints all three against measured values.
 struct SplitCommModel {
   int procs = 1;
   int classes = 2;
@@ -96,7 +98,7 @@ struct SplitCommModel {
   // average ~64 bytes on the wire.
   static constexpr double kExactBytesPerRecord = 64.0;
   // sizeof the SplitCandidate min-allreduce payload per node.
-  static constexpr double kCandidateBytes = 48.0;
+  static constexpr double kCandidateBytes = 32.0;
 
   static int allreduce_rounds(int p) {
     int rounds = 0;
@@ -114,40 +116,69 @@ struct SplitCommModel {
            kExactBytesPerRecord;
   }
 
-  // One active node's worth of merged histogram state: per continuous
-  // attribute a (bins x classes) int64 count grid, a bins-wide double
-  // bin-minimum vector and a 16-byte value range; per categorical attribute
-  // its (cardinality x classes) count matrix; plus the split candidate and
-  // the child class counts that grow the tree.
+  // One active node's merged histograms, the part the reduce-scatter moves:
+  // per continuous attribute a (bins x classes) int64 count grid and a
+  // bins-wide double bin-minimum vector; per categorical attribute its
+  // (cardinality x classes) count matrix.
   double histogram_node_bytes() const {
     const double cont = static_cast<double>(cont_attrs) *
                         (static_cast<double>(hist_bins) * classes * 8.0 +
-                         static_cast<double>(hist_bins) * 8.0 + 16.0);
+                         static_cast<double>(hist_bins) * 8.0);
     const double cat = static_cast<double>(cat_cardinality_sum) * classes * 8.0;
-    const double growth = kCandidateBytes + 2.0 * classes * 8.0;
-    return cont + cat + growth;
+    return cont + cat;
   }
 
-  // Histogram mode: O(attrs x bins) per node per round — flat in N.
-  double histogram_level_bytes(std::int64_t active_nodes) const {
-    return static_cast<double>(allreduce_rounds(procs)) *
-           static_cast<double>(active_nodes) * histogram_node_bytes();
+  // One active node's allreduced state: a 16-byte value range per
+  // continuous attribute, the split candidate and the child class counts
+  // that grow the tree.
+  double allreduce_node_bytes() const {
+    return static_cast<double>(cont_attrs) * 16.0 + kCandidateBytes +
+           2.0 * classes * 8.0;
   }
 
-  // Voting mode: only min(2k, attrs) elected attributes are merged per node
-  // (modeled as a proportional shrink of the per-node payload — elections
-  // mix continuous and categorical attributes per node), plus the one-int32
-  // per (attr, node) vote tally round.
-  double voting_level_bytes(std::int64_t active_nodes) const {
+  // Nodes whose histograms the busiest rank sends to their owners: it owns
+  // the fewest, floor(nodes / p) of the equal block partition, and ships
+  // the rest — (p - 1)/p of the level once nodes >> p.
+  double scattered_nodes(std::int64_t active_nodes) const {
+    return static_cast<double>(active_nodes - active_nodes / procs);
+  }
+
+  // The rooted broadcast of categorical value -> child mappings: the owner
+  // of winners with `categorical_winner_values` values in total (the sum of
+  // their attributes' cardinalities) sends one int32 per value to each of
+  // the p - 1 other ranks. No categorical winner, no round.
+  double mapping_bytes(double categorical_winner_values) const {
+    return static_cast<double>(procs - 1) * 4.0 * categorical_winner_values;
+  }
+
+  // Histogram mode: (p - 1)/p of the level's histograms plus ceil(log2 p)
+  // copies of the small per-node state — flat in N and in p.
+  double histogram_level_bytes(std::int64_t active_nodes,
+                               double categorical_winner_values = 0.0) const {
+    return scattered_nodes(active_nodes) * histogram_node_bytes() +
+           static_cast<double>(allreduce_rounds(procs)) *
+               static_cast<double>(active_nodes) * allreduce_node_bytes() +
+           mapping_bytes(categorical_winner_values);
+  }
+
+  // Voting mode: only min(2k, attrs) elected attributes are scattered per
+  // node (modeled as a proportional shrink of the per-node histograms —
+  // elections mix continuous and categorical attributes per node), plus the
+  // one-int32 per (attr, node) vote tally round.
+  double voting_level_bytes(std::int64_t active_nodes,
+                            double categorical_winner_values = 0.0) const {
     const int attrs = num_attrs();
     if (attrs == 0) return 0.0;
     const double elected_fraction =
         static_cast<double>(std::min(2 * top_k, attrs)) /
         static_cast<double>(attrs);
     const double votes = static_cast<double>(attrs) * 4.0;
-    return static_cast<double>(allreduce_rounds(procs)) *
-           static_cast<double>(active_nodes) *
-           (histogram_node_bytes() * elected_fraction + votes);
+    return scattered_nodes(active_nodes) * histogram_node_bytes() *
+               elected_fraction +
+           static_cast<double>(allreduce_rounds(procs)) *
+               static_cast<double>(active_nodes) *
+               (allreduce_node_bytes() + votes) +
+           mapping_bytes(categorical_winner_values);
   }
 };
 

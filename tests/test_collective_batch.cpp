@@ -267,6 +267,102 @@ TEST_P(BatchSweep, BcastRootedMatchesUnfusedReference) {
   }
 }
 
+// The owner-sliced shape of the histogram engine's rounds: every rank roots
+// several segments in interleaved directory order, some segments are empty
+// and some ranks root nothing but empty segments (a tree level with fewer
+// nodes than ranks). Both rooted rounds must still equal the unfused
+// per-segment reference, and a root with no bytes exchanges no message.
+TEST(CollectiveBatch, RootedRoundsWithManySegmentsPerRootMatchReference) {
+  for (const int p : {3, 5}) {
+    for (std::uint64_t seed = 80; seed <= 85; ++seed) {
+      util::Rng rng(seed * 31 + static_cast<std::uint64_t>(p));
+      std::vector<SegmentSpec> specs;
+      for (int root = 0; root < p; ++root) {
+        // Ranks 1 and p-1 root only empty segments.
+        const bool empty_root = root == 1 || root == p - 1;
+        const std::size_t count = 2 + rng.next_below(5);
+        for (std::size_t s = 0; s < count; ++s) {
+          SegmentSpec spec;
+          spec.root = root;
+          spec.size = empty_root || rng.next_bool(0.25)
+                          ? 0
+                          : 1 + rng.next_below(40);
+          specs.push_back(spec);
+        }
+      }
+      for (std::size_t s = specs.size(); s > 1; --s) {
+        std::swap(specs[s - 1], specs[rng.next_below(s)]);
+      }
+      const mp::RunResult run = mp::run_ranks(p, kZero, [&](mp::Comm& comm) {
+        const int r = comm.rank();
+        const auto values = [&](std::size_t s, int rank) {
+          return int_values(seed * 1000 + s, rank, specs[s].size);
+        };
+        mp::CollectiveBatch batch(comm);
+        std::vector<std::size_t> ids;
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+          ids.push_back(batch.add<std::int64_t>(values(s, r), mp::SumOp{},
+                                                std::int64_t{0},
+                                                specs[s].root));
+        }
+        for (int root = 0; root < p; ++root) {
+          std::size_t bytes = 0;
+          for (const SegmentSpec& spec : specs) {
+            if (spec.root == root) bytes += spec.size * sizeof(std::int64_t);
+          }
+          EXPECT_EQ(batch.rooted_bytes(root), bytes) << "root " << root;
+        }
+        batch.reduce_rooted();
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+          const std::vector<std::int64_t> local = values(s, r);
+          const std::vector<std::int64_t> expected = mp::reduce_vec(
+              comm, std::span<const std::int64_t>(local), mp::SumOp{},
+              specs[s].root);
+          if (r != specs[s].root) continue;
+          const auto got = batch.view<std::int64_t>(ids[s]);
+          ASSERT_EQ(got.size(), expected.size());
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " seg " << s;
+          }
+        }
+
+        batch.reset();
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+          const std::vector<std::int64_t> contribution =
+              r == specs[s].root ? values(s, r)
+                                 : std::vector<std::int64_t>(specs[s].size, 0);
+          ids[s] = batch.add<std::int64_t>(
+              std::span<const std::int64_t>(contribution), mp::SumOp{},
+              std::int64_t{0}, specs[s].root);
+        }
+        batch.bcast_rooted();
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+          const std::vector<std::int64_t> expected =
+              values(s, specs[s].root);
+          const auto got = batch.view<std::int64_t>(ids[s]);
+          ASSERT_EQ(got.size(), expected.size());
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " seg " << s;
+          }
+        }
+      });
+      // A root with no bytes publishes nothing; every other root sends its
+      // pack to the p-1 other ranks (the reference uses no broadcast).
+      for (int root = 0; root < p; ++root) {
+        std::size_t bytes = 0;
+        for (const SegmentSpec& spec : specs) {
+          if (spec.root == root) bytes += spec.size * sizeof(std::int64_t);
+        }
+        EXPECT_EQ(run.ranks[static_cast<std::size_t>(root)]
+                      .stats.bytes_sent_by_op[static_cast<int>(
+                          mp::CommOp::kBroadcast)],
+                  static_cast<std::uint64_t>(p - 1) * bytes)
+            << "p=" << p << " root " << root;
+      }
+    }
+  }
+}
+
 // reset() keeps the batch reusable: run two different rounds back to back.
 TEST_P(BatchSweep, ResetAllowsReuseAcrossRounds) {
   const int p = GetParam();

@@ -24,6 +24,7 @@
 #include "data/synthetic.hpp"
 #include "mp/fault.hpp"
 #include "mp/runtime.hpp"
+#include "util/memory_meter.hpp"
 
 namespace scalparc {
 namespace {
@@ -263,6 +264,75 @@ TEST(HistogramInduction, TreeIdenticalForAllProcessorCounts) {
   }
 }
 
+// Categorical attributes drive the label, so many nodes per level split on
+// a categorical winner; two continuous attributes keep the histogram path
+// busy. Three classes and 5% label noise keep the tree deep.
+data::Dataset make_categorical_heavy(std::uint64_t records,
+                                     std::uint64_t seed) {
+  Schema schema({Schema::continuous("x"), Schema::categorical("a", 6),
+                 Schema::categorical("b", 4), Schema::continuous("y"),
+                 Schema::categorical("c", 9)},
+                3);
+  data::Dataset out(schema);
+  std::mt19937_64 rng(seed);
+  for (std::uint64_t i = 0; i < records; ++i) {
+    const double cont[] = {static_cast<double>(rng() % 1000) / 10.0,
+                           static_cast<double>(rng() % 500)};
+    const std::int32_t cat[] = {static_cast<std::int32_t>(rng() % 6),
+                                static_cast<std::int32_t>(rng() % 4),
+                                static_cast<std::int32_t>(rng() % 9)};
+    int cls = (cat[0] % 3 + (cat[1] >= 2 ? 1 : 0) +
+               (cat[2] % 2 == 0 && cont[0] > 50.0 ? 1 : 0)) %
+              3;
+    if (rng() % 20 == 0) cls = static_cast<int>(rng() % 3);
+    out.append(cont, cat, cls);
+  }
+  return out;
+}
+
+// Most categorical splits at one depth of the tree.
+int max_categorical_splits_per_depth(const core::DecisionTree& tree) {
+  std::vector<int> per_depth;
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    const core::TreeNode& node = tree.node(id);
+    if (node.is_leaf ||
+        node.split.kind != data::AttributeKind::kCategorical) {
+      continue;
+    }
+    const auto depth = static_cast<std::size_t>(node.depth);
+    if (per_depth.size() <= depth) per_depth.resize(depth + 1, 0);
+    ++per_depth[depth];
+  }
+  return per_depth.empty()
+             ? 0
+             : *std::max_element(per_depth.begin(), per_depth.end());
+}
+
+TEST(HistogramInduction, TreeIdenticalAtNonPowerOfTwoWorldSizes) {
+  // Each rank owns an uneven block of every level's nodes; the shallow
+  // levels have fewer nodes than ranks, so some ranks own none, and
+  // categorical winners at one level spread over several owners, whose
+  // value -> child mappings all travel in the publish round.
+  const data::Dataset training = make_categorical_heavy(1500, 41);
+  for (const core::CategoricalSplit split :
+       {core::CategoricalSplit::kMultiWay,
+        core::CategoricalSplit::kBinarySubset}) {
+    InductionControls controls = histogram_controls(16, 8);
+    controls.options.categorical_split = split;
+    const core::FitReport reference =
+        ScalParC::fit(training, 1, controls, kZero);
+    check_tree_invariants(reference.tree);
+    ASSERT_GE(max_categorical_splits_per_depth(reference.tree), 7)
+        << "data no longer exercises many categorical winners per level";
+    const std::string expected = tree_bytes(reference.tree);
+    for (const int p : {3, 5, 6, 7}) {
+      EXPECT_EQ(tree_bytes(ScalParC::fit(training, p, controls, kZero).tree),
+                expected)
+          << "p=" << p << " split=" << static_cast<int>(split);
+    }
+  }
+}
+
 TEST(HistogramInduction, DuplicateHeavyDataInvariantAcrossP) {
   // Quantize every continuous value onto a tiny grid so bins and records
   // collide heavily; determinism must survive ties.
@@ -388,9 +458,18 @@ TEST(HistogramInduction, MemoryMeterSeesTheHistograms) {
   const std::size_t level0_histogram_bytes =
       (cont_cells + cat_cells) * classes * sizeof(std::int64_t) +
       cont_cells * sizeof(double);
+  // Depth 1: the root's level is the only one that builds histograms.
+  const int p = 4;
   const core::FitReport report =
-      ScalParC::fit(training, 2, histogram_controls(bins, 4), kZero);
+      ScalParC::fit(training, p, histogram_controls(bins, 1), kZero);
+  EXPECT_EQ(report.tree.depth(), 1);
   EXPECT_GE(report.run.max_peak_bytes_per_rank(), level0_histogram_bytes);
+  // Rank 0 owns the root, so besides its local histograms it holds the
+  // packed round buffer and receives the root's histograms from each of
+  // the p-1 other ranks: the receive buffers of the rooted merge count.
+  EXPECT_GE(report.run.ranks[0].meter.peak_bytes(
+                util::MemCategory::kCountMatrices),
+            static_cast<std::size_t>(p + 1) * level0_histogram_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -407,6 +486,21 @@ TEST(VotingInduction, DeterministicAtFixedWorldSize) {
   check_tree_invariants(first.tree);
   const core::FitReport second = ScalParC::fit(training, 4, controls, kZero);
   EXPECT_EQ(tree_bytes(first.tree), tree_bytes(second.tree));
+}
+
+TEST(VotingInduction, DeterministicAtNonPowerOfTwoWorldSizes) {
+  const data::Dataset training = make_categorical_heavy(1200, 43);
+  InductionControls controls = histogram_controls(16, 8);
+  controls.options.split_mode = SplitMode::kVoting;
+  controls.options.top_k = 1;
+  for (const int p : {3, 6}) {
+    const core::FitReport first = ScalParC::fit(training, p, controls, kZero);
+    check_tree_invariants(first.tree);
+    EXPECT_GE(max_categorical_splits_per_depth(first.tree), 2) << "p=" << p;
+    EXPECT_EQ(tree_bytes(ScalParC::fit(training, p, controls, kZero).tree),
+              tree_bytes(first.tree))
+        << "p=" << p;
+  }
 }
 
 TEST(VotingInduction, FullTopKEqualsHistogramMode) {
