@@ -4,9 +4,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "core/compiled_tree.hpp"
 
 namespace scalparc::core {
 
@@ -68,12 +72,23 @@ std::int32_t DecisionTree::predict(const data::Dataset& dataset,
 }
 
 double DecisionTree::accuracy(const data::Dataset& dataset) const {
-  if (dataset.num_records() == 0) return 0.0;
+  const std::size_t records = dataset.num_records();
+  if (records == 0) return 0.0;
+  // Scored in fixed-size batches, so the predictions never take O(N) memory.
+  constexpr std::size_t kBatch = 8192;
+  const CompiledTree compiled = CompiledTree::compile(*this);
+  std::vector<std::int32_t> predicted(std::min(records, kBatch));
   std::size_t correct = 0;
-  for (std::size_t row = 0; row < dataset.num_records(); ++row) {
-    correct += predict(dataset, row) == dataset.label(row);
+  for (std::size_t begin = 0; begin < records; begin += kBatch) {
+    const std::size_t end = std::min(begin + kBatch, records);
+    compiled.predict_batch(
+        dataset, begin, end,
+        std::span<std::int32_t>(predicted.data(), end - begin));
+    for (std::size_t row = begin; row < end; ++row) {
+      correct += predicted[row - begin] == dataset.label(row);
+    }
   }
-  return static_cast<double>(correct) / static_cast<double>(dataset.num_records());
+  return static_cast<double>(correct) / static_cast<double>(records);
 }
 
 bool DecisionTree::same_structure(const DecisionTree& other) const {

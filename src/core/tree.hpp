@@ -60,10 +60,13 @@ class DecisionTree {
   int num_leaves() const;
   int depth() const;
 
-  // Class predicted for row `row` of `dataset` (same schema).
+  // Class predicted for row `row` of `dataset` (same schema), by a recursive
+  // walk. Production scoring goes through CompiledTree; this walk is the
+  // reference the compiled engine is tested against.
   std::int32_t predict(const data::Dataset& dataset, std::size_t row) const;
 
-  // Fraction of rows whose prediction equals the stored label.
+  // Fraction of rows whose prediction equals the stored label, scored with
+  // the compiled batch kernel (same predictions as `predict`).
   double accuracy(const data::Dataset& dataset) const;
 
   // Structural equality: same shape, same decisions, same leaf labels.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace scalparc::data {
@@ -21,6 +22,13 @@ Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
       categorical_columns_.emplace_back();
     }
   }
+}
+
+Dataset::Dataset(Schema schema, std::size_t num_records)
+    : Dataset(std::move(schema)) {
+  for (auto& column : continuous_columns_) column.resize(num_records);
+  for (auto& column : categorical_columns_) column.resize(num_records);
+  labels_.resize(num_records);
 }
 
 int Dataset::column_slot(int attribute, AttributeKind expected) const {
@@ -69,6 +77,16 @@ std::span<const double> Dataset::continuous_column(int attribute) const {
 }
 
 std::span<const std::int32_t> Dataset::categorical_column(int attribute) const {
+  const int slot = column_slot(attribute, AttributeKind::kCategorical);
+  return categorical_columns_[static_cast<std::size_t>(slot)];
+}
+
+std::span<double> Dataset::mutable_continuous_column(int attribute) {
+  const int slot = column_slot(attribute, AttributeKind::kContinuous);
+  return continuous_columns_[static_cast<std::size_t>(slot)];
+}
+
+std::span<std::int32_t> Dataset::mutable_categorical_column(int attribute) {
   const int slot = column_slot(attribute, AttributeKind::kCategorical);
   return categorical_columns_[static_cast<std::size_t>(slot)];
 }

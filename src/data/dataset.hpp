@@ -19,6 +19,9 @@ class Dataset {
  public:
   Dataset() = default;
   explicit Dataset(Schema schema);
+  // `num_records` records with every value zero, sized once for a reader
+  // that fills the columns in place through the mutable_* accessors.
+  Dataset(Schema schema, std::size_t num_records);
 
   const Schema& schema() const { return schema_; }
   std::size_t num_records() const { return labels_.size(); }
@@ -38,6 +41,10 @@ class Dataset {
   // Whole column access (attribute must be of the matching kind).
   std::span<const double> continuous_column(int attribute) const;
   std::span<const std::int32_t> categorical_column(int attribute) const;
+  // Writable views of the same storage; they never change the record count.
+  std::span<double> mutable_continuous_column(int attribute);
+  std::span<std::int32_t> mutable_categorical_column(int attribute);
+  std::span<std::int32_t> mutable_labels() { return labels_; }
 
   // Copies rows [begin, end) into a new dataset with the same schema.
   Dataset slice(std::size_t begin, std::size_t end) const;

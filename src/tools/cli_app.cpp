@@ -395,7 +395,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   const std::unique_ptr<telemetry::TelemetryExporter> exporter =
       obs.start_exporter();
 
-  const data::Dataset training = data::read_csv_file(data_path);
+  const data::Dataset training = data::read_csv_file(data_path, ranks);
   core::FitReport report;
   if (controls.checkpoint.resume) {
     report = core::ScalParC::resume_from_checkpoint(

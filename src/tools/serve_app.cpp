@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     data::Dataset workload;
     const std::string data_path = args.get_string("data", "");
     if (!data_path.empty()) {
-      workload = data::read_csv_file(data_path);
+      workload = data::read_csv_file(data_path, ranks);
       if (!(workload.schema() == tree.schema())) {
         std::fputs(
             "scalparc-serve: workload schema does not match the model's\n",

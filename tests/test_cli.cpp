@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "core/tree.hpp"
+#include "core/tree_io.hpp"
+#include "data/csv.hpp"
 #include "tools/cli_app.hpp"
 
 namespace scalparc {
@@ -100,6 +103,38 @@ TEST_F(CliWorkflow, TrainWithEntropySubsetSprintAndPrune) {
   ASSERT_EQ(train.code, 0) << train.err;
   EXPECT_NE(train.out.find("pruned:"), std::string::npos);
   EXPECT_EQ(run({"inspect", "--model", model, "--render"}).code, 0);
+}
+
+// train scores its "training accuracy:" line with the compiled batch kernel;
+// the line must read what the recursive walk over the saved tree counts.
+TEST_F(CliWorkflow, TrainingAccuracyLineMatchesRecursiveWalk) {
+  const std::string csv = track(temp_path("cli_accuracy.csv"));
+  const std::string model = track(temp_path("cli_accuracy.tree"));
+  for (int f = 1; f <= 10; ++f) {
+    const std::string function = std::string("F").append(std::to_string(f));
+    SCOPED_TRACE(function);
+    ASSERT_EQ(run({"generate", "--records", "1500", "--function", function,
+                   "--noise", "0.1", "--out", csv}).code, 0);
+    std::vector<std::string> train_args = {"train", "--data", csv, "--model",
+                                           model, "--ranks", "3",
+                                           "--max-depth", "8"};
+    if (f % 3 == 0) train_args.push_back("--prune");
+    const CliResult train = run(train_args);
+    ASSERT_EQ(train.code, 0) << train.err;
+
+    const core::DecisionTree tree = core::load_tree_file(model);
+    const data::Dataset training = data::read_csv_file(csv);
+    std::size_t correct = 0;
+    for (std::size_t row = 0; row < training.num_records(); ++row) {
+      correct += tree.predict(training, row) == training.label(row);
+    }
+    std::ostringstream want;
+    want << "training accuracy: "
+         << static_cast<double>(correct) /
+                static_cast<double>(training.num_records())
+         << "\n";
+    EXPECT_NE(train.out.find(want.str()), std::string::npos) << train.out;
+  }
 }
 
 TEST_F(CliWorkflow, BenchPrintsScalingTable) {

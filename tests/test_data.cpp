@@ -3,8 +3,15 @@
 // round-trips and attribute-list construction.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/attribute_list.hpp"
 #include "data/csv.hpp"
@@ -349,6 +356,291 @@ TEST(Csv, FileRoundTrip) {
 TEST(Csv, MissingFileThrows) {
   EXPECT_THROW((void)data::read_csv_file("/nonexistent/file.csv"),
                std::runtime_error);
+}
+
+// The first error read_csv reports for `text`, or "(accepted)".
+std::string csv_error(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)data::read_csv(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+// Bit-for-bit equality of two datasets: schema, then every column by memcmp.
+void expect_same_bits(const Dataset& got, const Dataset& want) {
+  ASSERT_TRUE(got.schema() == want.schema());
+  ASSERT_EQ(got.num_records(), want.num_records());
+  const auto same = [](auto a, auto b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+  };
+  for (int a = 0; a < got.schema().num_attributes(); ++a) {
+    if (got.schema().attribute(a).kind == AttributeKind::kContinuous) {
+      EXPECT_TRUE(same(got.continuous_column(a), want.continuous_column(a)))
+          << "attribute " << a;
+    } else {
+      EXPECT_TRUE(same(got.categorical_column(a), want.categorical_column(a)))
+          << "attribute " << a;
+    }
+  }
+  EXPECT_TRUE(same(got.labels(), want.labels()));
+}
+
+// The reference formatting: an ostream at precision(17), which write_csv's
+// std::to_chars output must equal byte for byte.
+std::string ostream_csv(const Dataset& d) {
+  std::ostringstream out;
+  out.precision(17);
+  const Schema& schema = d.schema();
+  for (int a = 0; a < schema.num_attributes(); ++a) {
+    out << schema.attribute(a).name;
+    if (schema.attribute(a).kind == AttributeKind::kContinuous) {
+      out << ":cont,";
+    } else {
+      out << ":cat:" << schema.attribute(a).cardinality << ',';
+    }
+  }
+  out << "class:" << schema.num_classes() << '\n';
+  for (std::size_t row = 0; row < d.num_records(); ++row) {
+    for (int a = 0; a < schema.num_attributes(); ++a) {
+      if (schema.attribute(a).kind == AttributeKind::kContinuous) {
+        out << d.continuous_value(a, row) << ',';
+      } else {
+        out << d.categorical_value(a, row) << ',';
+      }
+    }
+    out << d.label(row) << '\n';
+  }
+  return out.str();
+}
+
+TEST(Csv, WriterMatchesPrecision17OstreamByteForByte) {
+  Dataset edges(
+      Schema({Schema::continuous("x"), Schema::categorical("c", 3)}, 2));
+  const double values[] = {-0.0,
+                           0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           DBL_MIN,
+                           DBL_MAX,
+                           -DBL_MAX,
+                           0.1,
+                           1e-300,
+                           3.0,
+                           -42.0,
+                           1e16,
+                           123456789012345678.0,
+                           2.5e-7,
+                           1e21};
+  std::int32_t code = 0;
+  for (const double value : values) {
+    const std::int32_t cat[] = {code};
+    edges.append(std::span<const double>(&value, 1), cat, code % 2);
+    code = (code + 1) % 3;
+  }
+  const Dataset generated =
+      QuestGenerator(GeneratorConfig{.seed = 77}).generate(0, 2000);
+  for (const Dataset* d : {&std::as_const(edges), &generated}) {
+    std::stringstream written;
+    data::write_csv(*d, written);
+    EXPECT_EQ(written.str(), ostream_csv(*d));
+    expect_same_bits(data::read_csv(written), *d);
+  }
+}
+
+// Each of these was a strtod/strtol leniency of the old reader; each is now
+// an error that names its line and column.
+TEST(Csv, RejectsTrailingCharactersInContinuousCell) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,0\n1.5abc,1\n"),
+            "csv: <stream>:3:1: continuous value '1.5abc' for 'x' is not a "
+            "decimal number");
+}
+
+TEST(Csv, RejectsNonNumericLabel) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,zz\n"),
+            "csv: <stream>:2:5: class label 'zz' is not an integer in [0, 2)");
+}
+
+TEST(Csv, RejectsEmptyLabel) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,\n"),
+            "csv: <stream>:2:5: class label '' is not an integer in [0, 2)");
+}
+
+TEST(Csv, RejectsFractionalLabel) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,1.9\n"),
+            "csv: <stream>:2:5: class label '1.9' is not an integer in [0, 2)");
+}
+
+TEST(Csv, RejectsOverflowingCategoricalCode) {
+  EXPECT_EQ(csv_error("x:cont,c:cat:5,class:2\n1.0,4294967296,0\n"),
+            "csv: <stream>:2:5: categorical code '4294967296' for 'c' is not "
+            "an integer in [0, 5)");
+}
+
+TEST(Csv, RejectsTrailingCharactersInClassCount) {
+  EXPECT_EQ(csv_error("x:cont,class:2x\n1.0,0\n"),
+            "csv: <stream>:1:8: malformed header column 'class:2x'");
+}
+
+TEST(Csv, RejectsTrailingCharactersInCardinality) {
+  EXPECT_EQ(csv_error("c:cat:3junk,class:2\n1,0\n"),
+            "csv: <stream>:1:1: malformed header column 'c:cat:3junk'");
+}
+
+TEST(Csv, RejectsLeadingBlank) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n 1.0,0\n"),
+            "csv: <stream>:2:1: continuous value ' 1.0' for 'x' is not a "
+            "decimal number");
+}
+
+TEST(Csv, RejectsPlusSign) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n+1.0,0\n"),
+            "csv: <stream>:2:1: continuous value '+1.0' for 'x' is not a "
+            "decimal number");
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,+1\n"),
+            "csv: <stream>:2:5: class label '+1' is not an integer in [0, 2)");
+}
+
+TEST(Csv, RejectsHexFloat) {
+  EXPECT_EQ(csv_error("x:cont,class:2\n0x1p3,0\n"),
+            "csv: <stream>:2:1: continuous value '0x1p3' for 'x' is not a "
+            "decimal number");
+}
+
+TEST(Csv, LocatesWrongCellCounts) {
+  EXPECT_EQ(csv_error("x:cont,y:cont,class:2\n1.0,0\n"),
+            "csv: <stream>:2:6: 2 cells, expected 3");
+  EXPECT_EQ(csv_error("x:cont,class:2\n1.0,0,1,2\n"),
+            "csv: <stream>:2:7: 4 cells, expected 2");
+  EXPECT_EQ(csv_error(""), "csv: <stream>:1:1: empty input (missing header)");
+}
+
+TEST(Csv, AcceptsCrlfBlankLinesAndMissingFinalNewline) {
+  std::stringstream in(
+      "x:cont,c:cat:3,class:2\r\n1.5,2,1\r\n\r\n\n-0.25,0,0\r\n\n7,1,1");
+  const Dataset d = data::read_csv(in);
+  ASSERT_EQ(d.num_records(), 3u);
+  EXPECT_EQ(d.continuous_value(0, 1), -0.25);
+  EXPECT_EQ(d.categorical_value(1, 0), 2);
+  EXPECT_EQ(d.label(2), 1);
+  EXPECT_EQ(d.continuous_value(0, 2), 7.0);
+}
+
+// ---------------------------------------------------------------------------
+// p-way CSV ingest: the result does not depend on the part count
+// ---------------------------------------------------------------------------
+
+class CsvParts : public ::testing::Test {
+ protected:
+  static constexpr int kParts[] = {1, 2, 3, 4, 7, 16};
+
+  void TearDown() override {
+    for (const std::string& path : paths_) std::remove(path.c_str());
+  }
+
+  std::string file(const std::string& text) {
+    // ctest runs tests as parallel processes: name files after the test.
+    const std::string path =
+        ::testing::TempDir() + "/scalparc_csv_parts_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(paths_.size()) + ".csv";
+    std::ofstream(path, std::ios::binary) << text;
+    paths_.push_back(path);
+    return path;
+  }
+
+  // Every part count reads `text` into the same bits as `want`.
+  void expect_parts_invariant(const std::string& text, const Dataset& want) {
+    const std::string path = file(text);
+    for (const int parts : kParts) {
+      SCOPED_TRACE("parts " + std::to_string(parts));
+      expect_same_bits(data::read_csv_file(path, parts), want);
+    }
+  }
+
+  // Every part count reports the same first error for `text`; returns it.
+  std::string error_for_every_part_count(const std::string& text) {
+    const std::string path = file(text);
+    std::string first;
+    for (const int parts : kParts) {
+      std::string message = "(accepted)";
+      try {
+        (void)data::read_csv_file(path, parts);
+      } catch (const std::runtime_error& e) {
+        message = e.what();
+      }
+      if (parts == 1) first = message;
+      EXPECT_EQ(message, first) << "parts " << parts;
+    }
+    return first.substr(first.find(".csv:") + 4);
+  }
+
+ private:
+  std::vector<std::string> paths_;
+};
+
+TEST_F(CsvParts, DatasetIsIdenticalForEveryPartCount) {
+  const Dataset original =
+      QuestGenerator(GeneratorConfig{.seed = 31}).generate(0, 997);
+  std::stringstream written;
+  data::write_csv(original, written);
+  const std::string lf = written.str();
+  expect_parts_invariant(lf, original);
+
+  // CRLF endings, blank lines (LF and CRLF) and no final newline.
+  std::string crlf;
+  int line = 0;
+  for (std::size_t start = 0; start < lf.size();) {
+    const std::size_t newline = lf.find('\n', start);
+    crlf += lf.substr(start, newline - start);
+    crlf += "\r\n";
+    if (++line % 37 == 0) crlf += line % 2 == 0 ? "\n" : "\r\n\r\n";
+    start = newline + 1;
+  }
+  crlf.resize(crlf.size() - 2);
+  expect_parts_invariant(crlf, original);
+}
+
+TEST_F(CsvParts, MorePartsThanLines) {
+  const std::string text = "x:cont,c:cat:2,class:2\n0.5,1,1\n\n-3,0,0\n";
+  std::stringstream in(text);
+  expect_parts_invariant(text, data::read_csv(in));
+}
+
+TEST_F(CsvParts, HeaderOnlyFile) {
+  const Dataset empty(Schema({Schema::continuous("x")}, 2));
+  expect_parts_invariant("x:cont,class:2\n", empty);
+  expect_parts_invariant("x:cont,class:2", empty);
+  expect_parts_invariant("x:cont,class:2\r\n\n", empty);
+}
+
+TEST_F(CsvParts, FirstErrorInFileOrderForEveryPartCount) {
+  const Dataset original =
+      QuestGenerator(GeneratorConfig{.seed = 5}).generate(0, 400);
+  std::stringstream written;
+  data::write_csv(original, written);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(written, line);) lines.push_back(line);
+  const auto join = [](const std::vector<std::string>& rows) {
+    std::string text;
+    for (const std::string& row : rows) text += row + "\n";
+    return text;
+  };
+
+  // A bad row in the last part.
+  std::vector<std::string> bad = lines;
+  bad[399] = "1,2,3";
+  EXPECT_EQ(error_for_every_part_count(join(bad)),
+            ":400:6: 3 cells, expected 8");
+  // Two more, earlier in the file: the earliest wins for every part count.
+  bad[250].insert(0, "x");
+  bad[120].back() = '7';
+  EXPECT_EQ(error_for_every_part_count(join(bad)),
+            ":121:" + std::to_string(lines[120].size()) +
+                ": class label '7' is not an integer in [0, 2)");
 }
 
 // ---------------------------------------------------------------------------

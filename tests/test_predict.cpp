@@ -16,6 +16,7 @@
 
 #include "core/compiled_tree.hpp"
 #include "core/predict.hpp"
+#include "core/pruning.hpp"
 #include "core/scalparc.hpp"
 #include "core/tree.hpp"
 #include "data/dataset.hpp"
@@ -179,6 +180,39 @@ TEST(CompiledTree, OutOfRangeCategoricalCodeFallsBackToMajority) {
     EXPECT_EQ(got[row], 1) << "row " << row;
     EXPECT_EQ(got[row], tree.predict(rows, row)) << "row " << row;
   }
+}
+
+// DecisionTree::accuracy scores through the compiled kernel; it must divide
+// the count the recursive walk gives by the same total.
+double recursive_accuracy(const core::DecisionTree& tree,
+                          const data::Dataset& rows) {
+  std::size_t correct = 0;
+  for (std::size_t row = 0; row < rows.num_records(); ++row) {
+    correct += tree.predict(rows, row) == rows.label(row);
+  }
+  return static_cast<double>(correct) /
+         static_cast<double>(rows.num_records());
+}
+
+TEST(CompiledTree, AccuracyMatchesRecursiveWalk) {
+  for (int f = 1; f <= 10; ++f) {
+    const auto function = static_cast<data::LabelFunction>(f);
+    SCOPED_TRACE(f);
+    core::DecisionTree tree = quest_tree(function);
+    const data::Dataset holdout = quest_holdout(function, 700);
+    EXPECT_EQ(tree.accuracy(holdout), recursive_accuracy(tree, holdout));
+    core::mdl_prune(tree);
+    EXPECT_EQ(tree.accuracy(holdout), recursive_accuracy(tree, holdout));
+  }
+  // Codes 2 and 3 were unseen in training and take the majority fallback.
+  const core::DecisionTree tree = unseen_value_tree();
+  data::Dataset rows(tree.schema());
+  for (const std::int32_t code : {0, 1, 2, 3, 3, 2}) {
+    rows.append({}, std::span<const std::int32_t>(&code, 1), code % 2);
+  }
+  EXPECT_EQ(tree.accuracy(rows), recursive_accuracy(tree, rows));
+  EXPECT_EQ(tree.accuracy(rows), 4.0 / 6.0);
+  EXPECT_EQ(tree.accuracy(data::Dataset(tree.schema())), 0.0);
 }
 
 TEST(CompiledTree, NanContinuousValueMatchesRecursive) {
