@@ -42,11 +42,13 @@ int main(int argc, char** argv) {
     const data::Dataset holdout = generator.generate(records + 1000000, 5000);
     const double train_acc =
         core::holdout_accuracy(report.tree, generator, 0, records);
-    const core::ConfusionMatrix before = core::evaluate(report.tree, holdout);
+    const core::ConfusionMatrix before =
+        core::evaluate(core::CompiledTree::compile(report.tree), holdout);
 
     core::DecisionTree pruned = report.tree;
     core::mdl_prune(pruned);
-    const core::ConfusionMatrix after = core::evaluate(pruned, holdout);
+    const core::ConfusionMatrix after =
+        core::evaluate(core::CompiledTree::compile(pruned), holdout);
 
     std::printf("  F%-4d %6d %6d %14d %10.4f %9.4f %17.4f\n", f,
                 report.tree.num_nodes(), report.tree.depth(),

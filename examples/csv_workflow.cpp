@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
                 pruned.nodes_after);
   }
 
-  const core::ConfusionMatrix train_cm = core::evaluate(report.tree, training);
-  const core::ConfusionMatrix test_cm = core::evaluate(report.tree, testing);
+  const core::CompiledTree model = core::CompiledTree::compile(report.tree);
+  const core::ConfusionMatrix train_cm = core::evaluate(model, training);
+  const core::ConfusionMatrix test_cm = core::evaluate(model, testing);
   std::printf("tree: %d nodes, depth %d\n", report.tree.num_nodes(),
               report.tree.depth());
   std::printf("training accuracy: %.4f over %lld records\n", train_cm.accuracy(),

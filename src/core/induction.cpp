@@ -473,8 +473,6 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     }
 
-    const bool all_ranks =
-        options.categorical_reduction == CategoricalReduction::kAllRanks;
     const auto count_categorical = [&](const CatList& list,
                                        std::vector<std::int64_t>& local_counts) {
       const std::size_t card = static_cast<std::size_t>(list.cardinality);
@@ -494,8 +492,8 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       comm.add_work(static_cast<double>(list.cols.size()));
     };
     // Evaluates one categorical list's candidates from list.global_counts
-    // (callable only where the global matrices live: coordinator or, with
-    // kAllRanks, everywhere).
+    // (callable only on the list's coordinator, where the global matrices
+    // live).
     const auto eval_categorical = [&](CatList& list) {
       const std::size_t card = static_cast<std::size_t>(list.cardinality);
       for (std::size_t i = 0; i < m; ++i) {
@@ -514,7 +512,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     if (fused) {
       // One packed round makes every categorical list's count matrices
       // global: A collectives fuse into 1 (reduce_rooted carries each
-      // matrix to its own coordinator; allreduce replicates them all).
+      // matrix to its own coordinator).
       std::optional<PhaseSpan> phase(std::in_place, comm, "findsplit_i",
                                      level_index, mm, level_records);
       batch.reset();
@@ -522,21 +520,17 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         count_categorical(cat_lists[li], counts_scratch);
         cat_segs[li] = batch.add<std::int64_t>(
             std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
-            std::int64_t{0}, all_ranks ? 0 : cat_lists[li].coordinator);
+            std::int64_t{0}, cat_lists[li].coordinator);
       }
       phase->set_bytes(static_cast<std::int64_t>(batch.packed_bytes()));
       util::ScopedAllocation counts_mem(comm.meter(),
                                         util::MemCategory::kCountMatrices,
                                         batch.packed_bytes());
-      if (all_ranks) {
-        batch.allreduce();
-      } else {
-        batch.reduce_rooted();
-      }
+      batch.reduce_rooted();
       phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         CatList& list = cat_lists[li];
-        if (all_ranks || comm.rank() == list.coordinator) {
+        if (comm.rank() == list.coordinator) {
           list.global_counts = batch.take<std::int64_t>(cat_segs[li]);
           eval_categorical(list);
         } else {
@@ -551,16 +545,11 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         util::ScopedAllocation counts_mem(
             comm.meter(), util::MemCategory::kCountMatrices,
             counts_scratch.size() * sizeof(std::int64_t));
-        std::vector<std::int64_t> global =
-            all_ranks
-                ? mp::allreduce_vec(comm,
-                                    std::span<const std::int64_t>(counts_scratch),
-                                    mp::SumOp{})
-                : mp::reduce_vec(comm,
-                                 std::span<const std::int64_t>(counts_scratch),
-                                 mp::SumOp{}, list.coordinator);
+        std::vector<std::int64_t> global = mp::reduce_vec(
+            comm, std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
+            list.coordinator);
         phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
-        if (all_ranks || comm.rank() == list.coordinator) {
+        if (comm.rank() == list.coordinator) {
           list.global_counts = std::move(global);
           eval_categorical(list);
         } else {
@@ -617,7 +606,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     };
 
-    if (fused && !all_ranks) {
+    if (fused) {
       // All winning mappings travel in one rooted broadcast round. The
       // winner sets and cardinalities are globally known, so every rank can
       // contribute a correctly-sized placeholder for segments it doesn't own.
@@ -656,12 +645,10 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         if (winner_nodes.empty()) continue;
         const std::size_t card = static_cast<std::size_t>(list.cardinality);
         std::vector<std::int32_t> flat;
-        if (all_ranks || comm.rank() == list.coordinator) {
+        if (comm.rank() == list.coordinator) {
           build_mappings(list, winner_nodes, flat);
         }
-        // With the allreduce everybody already holds the mapping; otherwise
-        // the coordinator distributes it.
-        if (!all_ranks) mp::bcast(comm, flat, list.coordinator);
+        mp::bcast(comm, flat, list.coordinator);
         if (flat.size() != winner_nodes.size() * card) {
           throw std::logic_error("induction: bad value_to_child broadcast");
         }

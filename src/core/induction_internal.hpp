@@ -125,7 +125,9 @@ inline std::uint64_t induction_fingerprint(const data::Schema& schema,
   mix(static_cast<std::uint64_t>(options.min_split_records));
   mix(static_cast<std::uint64_t>(options.criterion));
   mix(static_cast<std::uint64_t>(options.categorical_split));
-  mix(static_cast<std::uint64_t>(options.categorical_reduction));
+  // Slot of the retired categorical-reduction option, whose coordinator
+  // mode was 0: keeps every existing checkpoint fingerprint valid.
+  mix(0);
   mix(static_cast<std::uint64_t>(strategy));
   if (options.min_gini_improvement != 0.0) {
     mix(std::bit_cast<std::uint64_t>(options.min_gini_improvement));

@@ -72,11 +72,6 @@ class DistributedHashTable {
     return std::min(block_, num_keys_ - begin);
   }
 
-  // Direct access to this rank's slots (tests, and the owner-side of custom
-  // protocols).
-  std::span<const V> local_values() const { return local_values_; }
-  std::span<V> local_values_mutable() { return local_values_; }
-
   // Collective bulk update. `updates` may be empty on some ranks. When
   // `block_limit` > 0, each rank sends at most that many updates per
   // all-to-all round; every rank participates in the globally maximal number

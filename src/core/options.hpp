@@ -21,19 +21,6 @@ enum class SplitCriterion : int {
   kEntropy = 1,
 };
 
-// How categorical count matrices become global in FindSplitI (ablation,
-// DESIGN.md §6.3). Both produce identical trees.
-enum class CategoricalReduction : int {
-  // The paper: "a processor is designated to coordinate the computation of
-  // the global count matrices for all the nodes" — reduce to one rank per
-  // attribute, which evaluates candidates and broadcasts the winning
-  // value -> child mappings.
-  kCoordinator = 0,
-  // Alternative: allreduce the matrices so every rank holds them; redundant
-  // candidate evaluation on all ranks, but no broadcast round.
-  kAllRanks = 1,
-};
-
 // How split points are determined each level (docs/architecture.md "split
 // modes"; DESIGN.md §10). kExact is the paper's algorithm over globally
 // sorted attribute lists; the other two quantize continuous attributes into
@@ -71,7 +58,6 @@ struct InductionOptions {
   double min_gini_improvement = 0.0;
   SplitCriterion criterion = SplitCriterion::kGini;
   CategoricalSplit categorical_split = CategoricalSplit::kMultiWay;
-  CategoricalReduction categorical_reduction = CategoricalReduction::kCoordinator;
   // Node-table updates are sent in blocks of at most this many entries per
   // rank per round, to bound communication buffer memory (§3.3.2). 0 means
   // "N/p", the paper's choice. Benches ablate this (A1).

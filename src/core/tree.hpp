@@ -20,7 +20,10 @@ struct SplitDecision {
   int attribute = -1;
   data::AttributeKind kind = data::AttributeKind::kContinuous;
   // Continuous: records with value < threshold go to child slot 0, others to
-  // slot 1. Thresholds are midpoints between adjacent distinct values.
+  // slot 1. The threshold is a data value: in exact mode the smallest value
+  // of the right partition (the winning "A < v" candidate's v), in
+  // histogram/voting mode the recorded minimum value of the first bin right
+  // of the cut.
   double threshold = 0.0;
   // Categorical: child slot per value code; -1 for values absent at the node
   // during training (prediction falls back to the node's majority label).

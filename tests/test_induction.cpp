@@ -247,22 +247,6 @@ TEST(Induction, EntropyAndGiniCanDisagreeButBothLearn) {
   EXPECT_DOUBLE_EQ(b.accuracy(training), 1.0);
 }
 
-TEST(Induction, CategoricalReductionModesAgree) {
-  QuestGenerator generator(GeneratorConfig{.seed = 19,
-                                           .function = LabelFunction::kF3,
-                                           .num_attributes = 9});
-  const data::Dataset training = generator.generate(0, 400);
-  InductionControls coordinator;
-  coordinator.options.categorical_reduction = core::CategoricalReduction::kCoordinator;
-  InductionControls allranks;
-  allranks.options.categorical_reduction = core::CategoricalReduction::kAllRanks;
-  for (const int p : {1, 3, 6}) {
-    const DecisionTree a = ScalParC::fit(training, p, coordinator, kZero).tree;
-    const DecisionTree b = ScalParC::fit(training, p, allranks, kZero).tree;
-    EXPECT_TRUE(a.same_structure(b)) << "p=" << p;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Learning quality.
 // ---------------------------------------------------------------------------
@@ -627,20 +611,14 @@ TEST(CollectiveFusion, FusedTreeByteIdenticalToUnfused) {
   config.label_noise = 0.05;
   const data::Dataset training = QuestGenerator(config).generate(0, 1200);
 
-  for (const auto reduction : {core::CategoricalReduction::kCoordinator,
-                               core::CategoricalReduction::kAllRanks}) {
-    for (const int p : {1, 2, 3, 4, 8}) {
-      InductionControls fused;
-      fused.options.categorical_reduction = reduction;
-      fused.options.fuse_collectives = true;
-      InductionControls unfused = fused;
-      unfused.options.fuse_collectives = false;
-      const std::string a = tree_bytes(ScalParC::fit(training, p, fused).tree);
-      const std::string b =
-          tree_bytes(ScalParC::fit(training, p, unfused).tree);
-      EXPECT_EQ(a, b) << "p=" << p << " reduction="
-                      << static_cast<int>(reduction);
-    }
+  for (const int p : {1, 2, 3, 4, 8}) {
+    InductionControls fused;
+    fused.options.fuse_collectives = true;
+    InductionControls unfused = fused;
+    unfused.options.fuse_collectives = false;
+    const std::string a = tree_bytes(ScalParC::fit(training, p, fused).tree);
+    const std::string b = tree_bytes(ScalParC::fit(training, p, unfused).tree);
+    EXPECT_EQ(a, b) << "p=" << p;
   }
 }
 

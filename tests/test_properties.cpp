@@ -6,10 +6,15 @@
 //   * perfect memorization of noise-free training data
 //   * structural invariants (children partition parents exactly)
 //   * pruning only shrinks the tree and never invalidates prediction
+//   * the root split of tiny inputs has the minimum gini of every candidate,
+//     found by brute force without the induction's scanners
 //   * the non-commutative boundary exscan the induction relies on
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <set>
 
 #include "core/predict.hpp"
 #include "core/pruning.hpp"
@@ -133,6 +138,168 @@ TEST_P(RandomWorkload, LevelRecordsNeverIncrease) {
     previous = level.active_records;
     EXPECT_GT(level.active_nodes, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Brute-force split oracle: on inputs of at most 10 records, enumerate every
+// candidate split of the root and score it here, without core:: impurity
+// code or scanners.
+// ---------------------------------------------------------------------------
+
+// Class counts per child when `child_of(row)` assigns each record a child.
+template <typename ChildOf>
+std::vector<std::vector<std::int64_t>> partition_counts(const data::Dataset& d,
+                                                        int num_children,
+                                                        ChildOf child_of) {
+  std::vector<std::vector<std::int64_t>> counts(
+      static_cast<std::size_t>(num_children),
+      std::vector<std::int64_t>(
+          static_cast<std::size_t>(d.schema().num_classes()), 0));
+  for (std::size_t row = 0; row < d.num_records(); ++row) {
+    ++counts[static_cast<std::size_t>(child_of(row))]
+            [static_cast<std::size_t>(d.label(row))];
+  }
+  return counts;
+}
+
+// Weighted gini: sum over children of (n_k / n) * (1 - sum_j (c_kj / n_k)^2).
+double weighted_gini(const std::vector<std::vector<std::int64_t>>& children) {
+  const auto total = [](const std::vector<std::int64_t>& counts) {
+    return std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+  };
+  std::int64_t n = 0;
+  for (const auto& child : children) n += total(child);
+  double gini = 0.0;
+  for (const auto& child : children) {
+    const std::int64_t nk = total(child);
+    if (nk == 0) continue;
+    double sum_sq = 0.0;
+    for (const std::int64_t count : child) {
+      const double share = static_cast<double>(count) / static_cast<double>(nk);
+      sum_sq += share * share;
+    }
+    gini += static_cast<double>(nk) / static_cast<double>(n) * (1.0 - sum_sq);
+  }
+  return gini;
+}
+
+// 1..10 records over (x0, x1 continuous; c categorical), 2..3 classes. x0
+// draws from four values so duplicate runs are common.
+data::Dataset tiny_dataset(std::uint64_t seed) {
+  util::Rng rng(seed * 104729 + 7);
+  const auto classes = static_cast<std::int32_t>(2 + rng.next_below(2));
+  const auto cardinality = static_cast<std::int32_t>(2 + rng.next_below(3));
+  data::Dataset d(data::Schema({data::Schema::continuous("x0"),
+                                data::Schema::continuous("x1"),
+                                data::Schema::categorical("c", cardinality)},
+                               classes));
+  const auto n = static_cast<int>(1 + rng.next_below(10));
+  for (int i = 0; i < n; ++i) {
+    const double x[] = {0.5 * static_cast<double>(rng.next_below(4)),
+                        rng.next_double(-1.0, 1.0)};
+    const std::int32_t c[] = {
+        static_cast<std::int32_t>(rng.next_below(
+            static_cast<std::uint64_t>(cardinality)))};
+    d.append(x, c, static_cast<std::int32_t>(
+                       rng.next_below(static_cast<std::uint64_t>(classes))));
+  }
+  return d;
+}
+
+TEST(BruteForceSplitOracle, RootSplitHasMinimumGini) {
+  constexpr int kCategorical = 2;
+  int splits = 0;
+  int leaves = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const data::Dataset d = tiny_dataset(seed);
+
+    // Every candidate: "x_a < v" for each distinct v above the minimum, and
+    // the one multiway partition (a child per present value) of c.
+    double best = std::numeric_limits<double>::infinity();
+    for (const int a : {0, 1}) {
+      std::set<double> values;
+      for (std::size_t row = 0; row < d.num_records(); ++row) {
+        values.insert(d.continuous_value(a, row));
+      }
+      for (auto v = std::next(values.begin()); v != values.end(); ++v) {
+        const double cut = *v;
+        best = std::min(best, weighted_gini(partition_counts(
+                                  d, 2, [&](std::size_t row) {
+                                    return d.continuous_value(a, row) >= cut;
+                                  })));
+      }
+    }
+    std::set<std::int32_t> present;
+    for (std::size_t row = 0; row < d.num_records(); ++row) {
+      present.insert(d.categorical_value(kCategorical, row));
+    }
+    if (present.size() >= 2) {
+      best = std::min(best, weighted_gini(partition_counts(
+                                d, static_cast<int>(present.size()),
+                                [&](std::size_t row) {
+                                  return std::distance(
+                                      present.begin(),
+                                      present.find(d.categorical_value(
+                                          kCategorical, row)));
+                                })));
+    }
+    const double root_gini =
+        weighted_gini(partition_counts(d, 1, [](std::size_t) { return 0; }));
+    const bool pure = root_gini == 0.0;
+
+    core::InductionControls controls;
+    controls.options.max_depth = 1;
+    controls.options.split_mode = core::SplitMode::kExact;
+    controls.options.categorical_split = core::CategoricalSplit::kMultiWay;
+    for (const int p : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " p=" << p
+                                        << " records=" << d.num_records());
+      const core::DecisionTree tree =
+          core::ScalParC::fit(d, p, controls, kZero).tree;
+      const core::TreeNode& root = tree.node(0);
+      if (pure || best == std::numeric_limits<double>::infinity()) {
+        EXPECT_TRUE(root.is_leaf);
+        ++leaves;
+        continue;
+      }
+      // An improving split exists: the root must take one. (A best split
+      // that only ties the root's gini may go either way.)
+      if (best < root_gini - 1e-12) {
+        EXPECT_FALSE(root.is_leaf);
+      }
+      if (root.is_leaf) {
+        ++leaves;
+        continue;
+      }
+      ++splits;
+      const core::SplitDecision& split = root.split;
+      double chosen = 0.0;
+      if (split.kind == data::AttributeKind::kContinuous) {
+        ASSERT_LT(split.attribute, kCategorical);
+        chosen = weighted_gini(partition_counts(d, 2, [&](std::size_t row) {
+          return d.continuous_value(split.attribute, row) < split.threshold ? 0
+                                                                           : 1;
+        }));
+      } else {
+        ASSERT_EQ(split.attribute, kCategorical);
+        ASSERT_EQ(split.num_children, static_cast<int>(present.size()));
+        for (const std::int32_t value : present) {
+          const std::int32_t child =
+              split.value_to_child[static_cast<std::size_t>(value)];
+          ASSERT_TRUE(child >= 0 && child < split.num_children) << value;
+        }
+        chosen = weighted_gini(
+            partition_counts(d, split.num_children, [&](std::size_t row) {
+              return split.value_to_child[static_cast<std::size_t>(
+                  d.categorical_value(kCategorical, row))];
+            }));
+      }
+      EXPECT_NEAR(chosen, best, 1e-12);
+    }
+  }
+  // Both outcomes are exercised, so neither branch above is vacuous.
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(leaves, 0);
 }
 
 // ---------------------------------------------------------------------------

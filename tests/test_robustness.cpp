@@ -224,7 +224,6 @@ struct OptionCase {
   core::SplitCriterion criterion;
   core::CategoricalSplit categorical;
   core::SplittingStrategy strategy;
-  core::CategoricalReduction reduction;
   const char* name;
 };
 
@@ -234,23 +233,17 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, OptionMatrix,
     ::testing::Values(
         OptionCase{core::SplitCriterion::kGini, core::CategoricalSplit::kMultiWay,
-                   core::SplittingStrategy::kDistributedHash,
-                   core::CategoricalReduction::kCoordinator, "gini_multi_dist_coord"},
+                   core::SplittingStrategy::kDistributedHash, "gini_multi_dist"},
         OptionCase{core::SplitCriterion::kGini, core::CategoricalSplit::kMultiWay,
-                   core::SplittingStrategy::kReplicatedHash,
-                   core::CategoricalReduction::kAllRanks, "gini_multi_repl_all"},
+                   core::SplittingStrategy::kReplicatedHash, "gini_multi_repl"},
         OptionCase{core::SplitCriterion::kGini, core::CategoricalSplit::kBinarySubset,
-                   core::SplittingStrategy::kDistributedHash,
-                   core::CategoricalReduction::kAllRanks, "gini_subset_dist_all"},
+                   core::SplittingStrategy::kDistributedHash, "gini_subset_dist"},
         OptionCase{core::SplitCriterion::kEntropy, core::CategoricalSplit::kMultiWay,
-                   core::SplittingStrategy::kDistributedHash,
-                   core::CategoricalReduction::kCoordinator, "entropy_multi_dist_coord"},
+                   core::SplittingStrategy::kDistributedHash, "entropy_multi_dist"},
         OptionCase{core::SplitCriterion::kEntropy, core::CategoricalSplit::kBinarySubset,
-                   core::SplittingStrategy::kReplicatedHash,
-                   core::CategoricalReduction::kCoordinator, "entropy_subset_repl_coord"},
+                   core::SplittingStrategy::kReplicatedHash, "entropy_subset_repl"},
         OptionCase{core::SplitCriterion::kEntropy, core::CategoricalSplit::kBinarySubset,
-                   core::SplittingStrategy::kDistributedHash,
-                   core::CategoricalReduction::kAllRanks, "entropy_subset_dist_all"}),
+                   core::SplittingStrategy::kDistributedHash, "entropy_subset_dist"}),
     [](const ::testing::TestParamInfo<OptionCase>& info) {
       return info.param.name;
     });
@@ -269,7 +262,6 @@ TEST_P(OptionMatrix, PInvarianceAndOracleAgreement) {
   controls.options.max_depth = 8;
   controls.options.criterion = params.criterion;
   controls.options.categorical_split = params.categorical;
-  controls.options.categorical_reduction = params.reduction;
   controls.strategy = params.strategy;
 
   const core::DecisionTree serial =
