@@ -44,14 +44,15 @@ int main(int argc, char** argv) {
           Table table(comm, keys, Value{});
           // Every rank updates its block-strided share of the keys with a
           // scrambled destination pattern (keys owned by everyone).
-          std::vector<Table::Update> updates;
+          std::vector<std::int64_t> update_keys;
+          std::vector<Value> values;
           for (std::uint64_t k = static_cast<std::uint64_t>(comm.rank());
                k < keys; k += static_cast<std::uint64_t>(comm.size())) {
-            const std::int64_t key =
-                static_cast<std::int64_t>((k * 2654435761ULL) % keys);
-            updates.push_back(Table::Update{key, Value{static_cast<std::int64_t>(k)}});
+            update_keys.push_back(
+                static_cast<std::int64_t>((k * 2654435761ULL) % keys));
+            values.push_back(Value{static_cast<std::int64_t>(k)});
           }
-          table.update(updates);
+          table.update(update_keys, values);
           std::vector<std::int64_t> enquiry;
           for (std::uint64_t k = static_cast<std::uint64_t>(comm.rank());
                k < keys; k += static_cast<std::uint64_t>(comm.size())) {
@@ -78,15 +79,15 @@ int main(int argc, char** argv) {
       const auto result = mp::run_ranks(
           static_cast<int>(p), model, [&](mp::Comm& comm) {
             Table table(comm, skew_keys, Value{});
-            std::vector<Table::Update> updates;
+            std::vector<std::int64_t> update_keys;
+            std::vector<Value> values;
             if (comm.rank() == 0) {
               for (std::uint64_t k = 0; k < skew_keys; ++k) {
-                updates.push_back(
-                    Table::Update{static_cast<std::int64_t>(k),
-                                  Value{static_cast<std::int64_t>(k)}});
+                update_keys.push_back(static_cast<std::int64_t>(k));
+                values.push_back(Value{static_cast<std::int64_t>(k)});
               }
             }
-            table.update(updates, block);
+            table.update(update_keys, values, block);
           });
       std::size_t staging = 0;
       for (const auto& r : result.ranks) {

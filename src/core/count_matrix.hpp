@@ -16,6 +16,13 @@
 
 namespace scalparc::core {
 
+// Per-level class counts — histogram bins, count matrices, prefix counts
+// and child counts — are stored and sent as uint32 by both induction
+// engines: a fit holds fewer than 2^32 records
+// (internal::validate_controls), so no count, local or merged, can
+// overflow. Tree nodes keep int64 counts.
+using WireCount = std::uint32_t;
+
 class CountMatrix {
  public:
   CountMatrix() = default;
@@ -54,9 +61,10 @@ class CountMatrix {
   std::span<const std::int64_t> flat() const { return counts_; }
   std::span<std::int64_t> flat_mutable() { return counts_; }
 
-  // Reconstructs a matrix from its wire form.
+  // Reconstructs a matrix from its flat form (int64 or WireCount counts).
+  template <typename Count>
   static CountMatrix from_flat(int rows, int cols,
-                               std::span<const std::int64_t> flat) {
+                               std::span<const Count> flat) {
     CountMatrix m(rows, cols);
     if (flat.size() != m.counts_.size()) {
       throw std::invalid_argument("CountMatrix::from_flat: size mismatch");

@@ -10,7 +10,7 @@ namespace scalparc::core {
 void histogram_accumulate(std::span<const double> values,
                           std::span<const std::int32_t> cls,
                           const ValueRange& range, int bins, int classes,
-                          std::span<std::int64_t> counts,
+                          std::span<WireCount> counts,
                           std::span<double> bin_min) {
   if (values.size() != cls.size() ||
       counts.size() != static_cast<std::size_t>(bins) *
@@ -27,7 +27,7 @@ void histogram_accumulate(std::span<const double> values,
   }
 }
 
-void best_histogram_split(std::span<const std::int64_t> counts,
+void best_histogram_split(std::span<const WireCount> counts,
                           std::span<const double> bin_min,
                           std::span<const std::int64_t> node_totals, int bins,
                           SplitCriterion criterion, std::int32_t attribute,
@@ -43,10 +43,10 @@ void best_histogram_split(std::span<const std::int64_t> counts,
   std::vector<std::int64_t> zeros(c, 0);
   IncrementalImpurityScanner scanner(node_totals, zeros, criterion);
   for (int b = 0; b < bins; ++b) {
-    const std::span<const std::int64_t> row =
+    const std::span<const WireCount> row =
         counts.subspan(static_cast<std::size_t>(b) * c, c);
     bool nonempty = false;
-    for (const std::int64_t n : row) nonempty |= n > 0;
+    for (const WireCount n : row) nonempty |= n > 0;
     if (!nonempty) continue;
     if (scanner.below_total() > 0) {
       SplitCandidate candidate;

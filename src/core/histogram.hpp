@@ -18,6 +18,7 @@
 #include <limits>
 #include <span>
 
+#include "core/count_matrix.hpp"
 #include "core/options.hpp"
 #include "core/split_finder.hpp"
 
@@ -54,12 +55,12 @@ inline int histogram_bin_of(double v, const ValueRange& range, int bins) {
   return b >= bins ? bins - 1 : b;
 }
 
-// Accumulates one node's rows into `counts` ([bin][class], bins*classes
-// int64, caller-zeroed) and `bin_min` ([bin], caller-initialized to +inf).
+// Accumulates one node's rows into `counts` ([bin][class], bins*classes,
+// caller-zeroed) and `bin_min` ([bin], caller-initialized to +inf).
 void histogram_accumulate(std::span<const double> values,
                           std::span<const std::int32_t> cls,
                           const ValueRange& range, int bins, int classes,
-                          std::span<std::int64_t> counts,
+                          std::span<WireCount> counts,
                           std::span<double> bin_min);
 
 // Improves `best` in place with the best bin-boundary candidate of one
@@ -69,7 +70,7 @@ void histogram_accumulate(std::span<const double> values,
 // (local totals for local scoring, the node's global class totals after a
 // merge). Evaluation walks bins left to right with an
 // IncrementalImpurityScanner; the candidate at bin b is "A < bin_min[b]".
-void best_histogram_split(std::span<const std::int64_t> counts,
+void best_histogram_split(std::span<const WireCount> counts,
                           std::span<const double> bin_min,
                           std::span<const std::int64_t> node_totals, int bins,
                           SplitCriterion criterion, std::int32_t attribute,

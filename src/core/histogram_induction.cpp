@@ -275,8 +275,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     }
 
     const std::vector<std::vector<RowWire>> received =
-        mp::alltoallv(comm, sendbufs);
-    sendbufs.clear();
+        mp::alltoallv(comm, std::move(sendbufs));
     std::size_t arrived = 0;
     for (const std::vector<RowWire>& from : received) {
       for (const RowWire& w : from) {
@@ -320,15 +319,15 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   mp::CollectiveBatch batch(comm);
   std::vector<ValueRange> ranges_scratch;
   std::vector<ValueRange> ranges;
-  std::vector<std::int64_t> cont_counts;   // [li][node][bin][class]
+  std::vector<WireCount> cont_counts;      // [li][node][bin][class]
   std::vector<double> cont_bin_min;        // [li][node][bin]
-  std::vector<std::int64_t> cat_counts;    // per list: [node][value][class]
+  std::vector<WireCount> cat_counts;       // per list: [node][value][class]
   std::vector<std::size_t> cat_counts_begin(num_cat + 1);
   std::vector<std::int64_t> local_totals;  // [node][class], voting only
   std::vector<std::int32_t> votes;         // [node][attribute], voting only
   std::vector<std::uint8_t> elected_mask;  // [node][attribute]
   std::vector<std::vector<std::size_t>> elected_nodes(num_cont + num_cat);
-  std::vector<std::int64_t> merge_counts_scratch;  // voting gather
+  std::vector<WireCount> merge_counts_scratch;  // voting gather
   std::vector<double> merge_min_scratch;
   // This rank's owner slices: segment ids, and per list the position of
   // its first node within elected_nodes.
@@ -337,7 +336,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
   std::vector<std::size_t> owned_first(num_cont + num_cat);
   std::vector<std::int32_t> mapping_scratch;
   std::vector<std::size_t> map_segs;  // per owner, its mapping segment
-  std::vector<std::int64_t> local_kid_counts;
+  std::vector<WireCount> local_kid_counts;
   std::vector<std::int32_t> child_of_row(node_of.size(), -1);
   std::uint64_t histogram_bytes_total = 0;
   std::uint64_t vote_bytes_total = 0;
@@ -460,7 +459,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     for (std::size_t li = 0; li < num_cont; ++li) {
       const double* const col = cont_col[li].data();
       const ValueRange* const rng = ranges.data() + li * m;
-      std::int64_t* const counts = cont_counts.data() + li * m * ubins * uc;
+      WireCount* const counts = cont_counts.data() + li * m * ubins * uc;
       double* const mins = cont_bin_min.data() + li * m * ubins;
       for (std::size_t row = 0; row < local_n; ++row) {
         const std::int32_t i = node_of[row];
@@ -484,7 +483,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     for (std::size_t li = 0; li < num_cat; ++li) {
       const std::int32_t* const col = cat_col[li].data();
       const auto card = static_cast<std::size_t>(cat_card[li]);
-      std::int64_t* const counts = cat_counts.data() + cat_counts_begin[li];
+      WireCount* const counts = cat_counts.data() + cat_counts_begin[li];
       for (std::size_t row = 0; row < local_n; ++row) {
         const std::int32_t i = node_of[row];
         if (i < 0) continue;
@@ -520,7 +519,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         for (std::size_t li = 0; li < num_cont; ++li) {
           SplitCandidate cand;
           best_histogram_split(
-              std::span<const std::int64_t>(
+              std::span<const WireCount>(
                   cont_counts.data() + (li * m + i) * ubins * uc, ubins * uc),
               std::span<const double>(
                   cont_bin_min.data() + (li * m + i) * ubins, ubins),
@@ -532,7 +531,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
           const auto card = static_cast<std::size_t>(cat_card[li]);
           const CountMatrix matrix = CountMatrix::from_flat(
               cat_card[li], c,
-              std::span<const std::int64_t>(
+              std::span<const WireCount>(
                   cat_counts.data() + cat_counts_begin[li] + i * card * uc,
                   card * uc));
           const SplitCandidate cand = best_categorical_split(
@@ -637,7 +636,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     batch.reset();
     for (std::size_t li = 0; li < num_cont; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[li];
-      const std::int64_t* counts = cont_counts.data() + li * m * ubins * uc;
+      const WireCount* counts = cont_counts.data() + li * m * ubins * uc;
       const double* mins = cont_bin_min.data() + li * m * ubins;
       if (nodes.size() != m) {
         merge_counts_scratch.resize(nodes.size() * ubins * uc);
@@ -652,7 +651,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         mins = merge_min_scratch.data();
       }
       seg_counts[li] = add_owner_slices(nodes, counts, ubins * uc, mp::SumOp{},
-                                        std::int64_t{0}, owned_first[li]);
+                                        WireCount{0}, owned_first[li]);
       seg_min[li] = add_owner_slices(nodes, mins, ubins, mp::MinOp{},
                                      std::numeric_limits<double>::infinity(),
                                      owned_first[li]);
@@ -660,7 +659,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     for (std::size_t li = 0; li < num_cat; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[num_cont + li];
       const std::size_t stride = static_cast<std::size_t>(cat_card[li]) * uc;
-      const std::int64_t* counts = cat_counts.data() + cat_counts_begin[li];
+      const WireCount* counts = cat_counts.data() + cat_counts_begin[li];
       if (nodes.size() != m) {
         merge_counts_scratch.resize(nodes.size() * stride);
         for (std::size_t k = 0; k < nodes.size(); ++k) {
@@ -670,8 +669,8 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         counts = merge_counts_scratch.data();
       }
       seg_cat[li] =
-          add_owner_slices(nodes, counts, stride, mp::SumOp{}, std::int64_t{0},
-                           owned_first[num_cont + li]);
+          add_owner_slices(nodes, counts, stride, mp::SumOp{},
+                           WireCount{0}, owned_first[num_cont + li]);
     }
     // Payload of the segments other ranks root: what this rank sends in a
     // rooted reduce, and receives in a rooted broadcast.
@@ -692,7 +691,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
         comm.meter(), util::MemCategory::kCountMatrices,
         (cont_counts.size() + cat_counts.size() +
          merge_counts_scratch.capacity()) *
-                sizeof(std::int64_t) +
+                sizeof(WireCount) +
             (cont_bin_min.size() + merge_min_scratch.capacity()) *
                 sizeof(double) +
             batch.packed_bytes());
@@ -711,8 +710,8 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
     std::vector<SplitCandidate> best(m);
     for (std::size_t li = 0; li < num_cont; ++li) {
-      const std::span<const std::int64_t> counts =
-          batch.view<std::int64_t>(seg_counts[li]);
+      const std::span<const WireCount> counts =
+          batch.view<WireCount>(seg_counts[li]);
       const std::span<const double> mins = batch.view<double>(seg_min[li]);
       for (std::size_t k = 0; k < mins.size() / ubins; ++k) {
         const std::size_t i = elected_nodes[li][owned_first[li] + k];
@@ -729,12 +728,12 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
       const std::size_t stride = static_cast<std::size_t>(cat_card[li]) * uc;
       return CountMatrix::from_flat(
           cat_card[li], c,
-          batch.view<std::int64_t>(seg_cat[li]).subspan(k * stride, stride));
+          batch.view<WireCount>(seg_cat[li]).subspan(k * stride, stride));
     };
     for (std::size_t li = 0; li < num_cat; ++li) {
       const std::vector<std::size_t>& nodes = elected_nodes[num_cont + li];
       const std::size_t owned =
-          batch.view<std::int64_t>(seg_cat[li]).size() /
+          batch.view<WireCount>(seg_cat[li]).size() /
           (static_cast<std::size_t>(cat_card[li]) * uc);
       for (std::size_t k = 0; k < owned; ++k) {
         const std::size_t i = nodes[owned_first[num_cont + li] + k];
@@ -861,7 +860,7 @@ InductionResult induce_tree_quantized(mp::Comm& comm,
     }
     comm.add_work(static_cast<double>(local_n));
 
-    const std::vector<std::int64_t> global_kid_counts =
+    const std::vector<WireCount> global_kid_counts =
         internal::reduce_kid_counts(comm, batch, local_kid_counts,
                                     /*fused=*/true);
 

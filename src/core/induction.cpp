@@ -78,7 +78,7 @@ struct CatList {
   util::ScopedAllocation mem;
   // Coordinator-only: this level's global count matrices, laid out
   // [active node][value][class].
-  std::vector<std::int64_t> global_counts;
+  std::vector<WireCount> global_counts;
 };
 
 }  // namespace
@@ -318,9 +318,10 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
   // active record count, so the first level's allocation usually suffices).
   const bool fused = options.fuse_collectives;
   mp::CollectiveBatch batch(comm);
-  std::vector<std::int64_t> counts_scratch;
+  std::vector<WireCount> counts_scratch;
+  std::vector<std::int64_t> below_scratch;
   std::vector<Boundary> boundary_scratch;
-  std::vector<std::int64_t> local_kid_counts;
+  std::vector<WireCount> local_kid_counts;
   std::vector<std::int64_t> update_rids;
   std::vector<std::int32_t> update_children;
   std::vector<std::int32_t> mapping_scratch;
@@ -387,12 +388,12 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     // Local class counts per (node, class) for one continuous list. The
     // loop touches only the class stream (4B/record).
     const auto count_continuous = [&](const ContList& list,
-                                      std::vector<std::int64_t>& local_counts) {
+                                      std::vector<WireCount>& local_counts) {
       local_counts.assign(m * static_cast<std::size_t>(c), 0);
       const std::int32_t* const cls = list.cols.cls.data();
       for (std::size_t i = 0; i < m; ++i) {
-        std::int64_t* const row = local_counts.data() +
-                                  i * static_cast<std::size_t>(c);
+        WireCount* const row =
+            local_counts.data() + i * static_cast<std::size_t>(c);
         for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
              ++idx) {
           ++row[static_cast<std::size_t>(cls[idx])];
@@ -411,13 +412,14 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     };
     const auto scan_cont_list = [&](const ContList& list,
-                                    std::span<const std::int64_t> below_start,
+                                    std::span<const WireCount> below_start,
                                     std::span<const Boundary> prev) {
       for (std::size_t i = 0; i < m; ++i) {
         const auto below = below_start.subspan(i * static_cast<std::size_t>(c),
                                                static_cast<std::size_t>(c));
-        IncrementalImpurityScanner scanner(active[i].class_totals, below,
-                                           options.criterion);
+        below_scratch.assign(below.begin(), below.end());
+        IncrementalImpurityScanner scanner(active[i].class_totals,
+                                           below_scratch, options.criterion);
         const std::size_t work = scan_continuous_columns(
             list.cols, list.offsets[i], list.offsets[i + 1], scanner,
             prev[i].has != 0, prev[i].value,
@@ -434,9 +436,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       batch.reset();
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         count_continuous(cont_lists[li], counts_scratch);
-        cont_count_segs[li] = batch.add<std::int64_t>(
-            std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
-            std::int64_t{0});
+        cont_count_segs[li] = batch.add<WireCount>(
+            std::span<const WireCount>(counts_scratch), mp::SumOp{},
+            WireCount{0});
         boundaries_of(cont_lists[li], boundary_scratch);
         cont_boundary_segs[li] = batch.add<Boundary>(
             std::span<const Boundary>(boundary_scratch), RightmostOp{},
@@ -450,7 +452,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
       for (std::size_t li = 0; li < cont_lists.size(); ++li) {
         scan_cont_list(cont_lists[li],
-                       batch.view<std::int64_t>(cont_count_segs[li]),
+                       batch.view<WireCount>(cont_count_segs[li]),
                        batch.view<Boundary>(cont_boundary_segs[li]));
       }
     } else {
@@ -460,10 +462,10 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         count_continuous(list, counts_scratch);
         util::ScopedAllocation counts_mem(
             comm.meter(), util::MemCategory::kCountMatrices,
-            2 * counts_scratch.size() * sizeof(std::int64_t));
-        const std::vector<std::int64_t> below_start = mp::exscan_vec(
-            comm, std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
-            std::int64_t{0});
+            2 * counts_scratch.size() * sizeof(WireCount));
+        const std::vector<WireCount> below_start = mp::exscan_vec(
+            comm, std::span<const WireCount>(counts_scratch), mp::SumOp{},
+            WireCount{0});
         boundaries_of(list, boundary_scratch);
         const std::vector<Boundary> prev = mp::exscan_vec(
             comm, std::span<const Boundary>(boundary_scratch), RightmostOp{},
@@ -474,13 +476,13 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
     }
 
     const auto count_categorical = [&](const CatList& list,
-                                       std::vector<std::int64_t>& local_counts) {
+                                       std::vector<WireCount>& local_counts) {
       const std::size_t card = static_cast<std::size_t>(list.cardinality);
       local_counts.assign(m * card * static_cast<std::size_t>(c), 0);
       const std::int32_t* const values = list.cols.values.data();
       const std::int32_t* const cls = list.cols.cls.data();
       for (std::size_t i = 0; i < m; ++i) {
-        std::int64_t* const block =
+        WireCount* const block =
             local_counts.data() + i * card * static_cast<std::size_t>(c);
         for (std::size_t idx = list.offsets[i]; idx < list.offsets[i + 1];
              ++idx) {
@@ -499,7 +501,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       for (std::size_t i = 0; i < m; ++i) {
         const CountMatrix matrix = CountMatrix::from_flat(
             list.cardinality, c,
-            std::span<const std::int64_t>(list.global_counts)
+            std::span<const WireCount>(list.global_counts)
                 .subspan(i * card * static_cast<std::size_t>(c),
                          card * static_cast<std::size_t>(c)));
         const SplitCandidate candidate = best_categorical_split(
@@ -518,9 +520,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       batch.reset();
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         count_categorical(cat_lists[li], counts_scratch);
-        cat_segs[li] = batch.add<std::int64_t>(
-            std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
-            std::int64_t{0}, cat_lists[li].coordinator);
+        cat_segs[li] = batch.add<WireCount>(
+            std::span<const WireCount>(counts_scratch), mp::SumOp{},
+            WireCount{0}, cat_lists[li].coordinator);
       }
       phase->set_bytes(static_cast<std::int64_t>(batch.packed_bytes()));
       util::ScopedAllocation counts_mem(comm.meter(),
@@ -531,7 +533,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       for (std::size_t li = 0; li < cat_lists.size(); ++li) {
         CatList& list = cat_lists[li];
         if (comm.rank() == list.coordinator) {
-          list.global_counts = batch.take<std::int64_t>(cat_segs[li]);
+          list.global_counts = batch.take<WireCount>(cat_segs[li]);
           eval_categorical(list);
         } else {
           list.global_counts.clear();
@@ -544,9 +546,9 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
         count_categorical(list, counts_scratch);
         util::ScopedAllocation counts_mem(
             comm.meter(), util::MemCategory::kCountMatrices,
-            counts_scratch.size() * sizeof(std::int64_t));
-        std::vector<std::int64_t> global = mp::reduce_vec(
-            comm, std::span<const std::int64_t>(counts_scratch), mp::SumOp{},
+            counts_scratch.size() * sizeof(WireCount));
+        std::vector<WireCount> global = mp::reduce_vec(
+            comm, std::span<const WireCount>(counts_scratch), mp::SumOp{},
             list.coordinator);
         phase.emplace(comm, "findsplit_ii", level_index, mm, level_records);
         if (comm.rank() == list.coordinator) {
@@ -595,7 +597,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       for (const std::size_t i : winner_nodes) {
         const CountMatrix matrix = CountMatrix::from_flat(
             list.cardinality, c,
-            std::span<const std::int64_t>(list.global_counts)
+            std::span<const WireCount>(list.global_counts)
                 .subspan(i * card * static_cast<std::size_t>(c),
                          card * static_cast<std::size_t>(c)));
         const std::vector<std::int32_t> mapping =
@@ -713,7 +715,7 @@ InductionResult induce_tree_distributed(mp::Comm& comm,
       }
     }
 
-    const std::vector<std::int64_t> global_kid_counts =
+    const std::vector<WireCount> global_kid_counts =
         internal::reduce_kid_counts(comm, batch, local_kid_counts, fused);
 
     // Create the children in the tree (identically on every rank) and build

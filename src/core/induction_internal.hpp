@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/count_matrix.hpp"
 #include "core/gini.hpp"
 #include "core/induction.hpp"
 #include "core/options.hpp"
@@ -146,14 +148,27 @@ inline void verify_spmd_fingerprint(mp::Comm& comm, std::uint64_t fp) {
   }
 }
 
-// Rejects an empty training set, bad options and a resume without a
-// checkpoint directory (std::invalid_argument prefixed with `who`).
+// A fit holds at most this many records: the node table sends record ids
+// as uint32 slots, and the histogram engine stores and ships its class
+// counts as uint32, neither of which can then overflow.
+inline constexpr std::uint64_t kMaxFitRecords =
+    std::numeric_limits<std::uint32_t>::max();
+
+// Rejects an empty or too large training set, bad options and a resume
+// without a checkpoint directory (std::invalid_argument prefixed with
+// `who`).
 inline void validate_controls(const char* who, std::uint64_t total_records,
                               const InductionControls& controls) {
   const InductionOptions& options = controls.options;
   const std::string prefix = std::string(who) + ": ";
   if (total_records == 0) {
     throw std::invalid_argument(prefix + "empty training set");
+  }
+  if (total_records > kMaxFitRecords) {
+    throw std::invalid_argument(
+        prefix + std::to_string(total_records) +
+        " training records; a fit holds fewer than 2^32 (node-table slots "
+        "and histogram counts are 32-bit)");
   }
   if (options.max_depth < 0 || options.min_split_records < 2 ||
       options.node_table_update_block < 0 ||
@@ -390,16 +405,15 @@ inline ChildLayout layout_children(
 
 // Collective sum of the kid counts: one batch round, or (fused = false)
 // one plain allreduce.
-inline std::vector<std::int64_t> reduce_kid_counts(
+inline std::vector<WireCount> reduce_kid_counts(
     mp::Comm& comm, mp::CollectiveBatch& batch,
-    std::span<const std::int64_t> local_kid_counts, bool fused) {
+    std::span<const WireCount> local_kid_counts, bool fused) {
   if (local_kid_counts.empty()) return {};
   if (!fused) return mp::allreduce_vec(comm, local_kid_counts, mp::SumOp{});
   batch.reset();
-  const std::size_t seg =
-      batch.add<std::int64_t>(local_kid_counts, mp::SumOp{});
+  const std::size_t seg = batch.add<WireCount>(local_kid_counts, mp::SumOp{});
   batch.allreduce();
-  return batch.take<std::int64_t>(seg);
+  return batch.take<WireCount>(seg);
 }
 
 // Counts the level, records its LevelStats ("level_stats" span, two small
@@ -467,7 +481,7 @@ inline LevelGrowth grow_tree_level(
     const std::vector<SplitCandidate>& best,
     const std::vector<bool>& will_split, const ChildLayout& layout,
     const std::vector<std::vector<std::int32_t>>& value_to_child,
-    std::span<const std::int64_t> global_kid_counts, int c,
+    std::span<const WireCount> global_kid_counts, int c,
     const InductionOptions& options) {
   const std::size_t m = active.size();
   const std::vector<int>& num_children = layout.num_children;
@@ -489,17 +503,17 @@ inline LevelGrowth grow_tree_level(
     out.child_slot_target[i].assign(static_cast<std::size_t>(num_children[i]),
                                     -1);
     for (int slot = 0; slot < num_children[i]; ++slot) {
-      const std::span<const std::int64_t> counts =
-          global_kid_counts.subspan(
-              layout.kid_offset[i] +
-                  static_cast<std::size_t>(slot) * static_cast<std::size_t>(c),
-              static_cast<std::size_t>(c));
+      const std::span<const WireCount> counts = global_kid_counts.subspan(
+          layout.kid_offset[i] +
+              static_cast<std::size_t>(slot) * static_cast<std::size_t>(c),
+          static_cast<std::size_t>(c));
       TreeNode child;
       child.is_leaf = true;
       child.class_counts.assign(counts.begin(), counts.end());
-      child.num_records =
-          std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
-      child.majority_class = majority_class(counts);
+      child.num_records = std::accumulate(child.class_counts.begin(),
+                                          child.class_counts.end(),
+                                          std::int64_t{0});
+      child.majority_class = majority_class(child.class_counts);
       child.depth = active[i].depth + 1;
       const int child_id = tree.add_node(std::move(child));
       tree.node(active[i].tree_id).children.push_back(child_id);

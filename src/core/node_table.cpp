@@ -1,5 +1,6 @@
 #include "core/node_table.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -19,12 +20,13 @@ void NodeTable::update(std::span<const std::int64_t> rids,
     sink->add("nodetable.updates", 1);
     sink->add("nodetable.update_entries", static_cast<double>(rids.size()));
   }
-  std::vector<DistributedHashTable<NodeTableEntry>::Update> updates(rids.size());
-  for (std::size_t i = 0; i < rids.size(); ++i) {
-    updates[i].key = rids[i];
-    updates[i].value = NodeTableEntry{children[i], epoch_};
-  }
-  table_.update(updates, block_limit);
+  // Only the child travels; the owner stamps the level's epoch.
+  const std::uint32_t epoch = epoch_;
+  table_.update<std::int32_t>(
+      rids, children, block_limit,
+      [epoch](NodeTableEntry& entry, std::int32_t child) {
+        entry = NodeTableEntry{child, epoch};
+      });
 }
 
 std::vector<std::int32_t> NodeTable::enquire(
@@ -33,15 +35,18 @@ std::vector<std::int32_t> NodeTable::enquire(
     sink->add("nodetable.enquiries", 1);
     sink->add("nodetable.enquiry_entries", static_cast<double>(rids.size()));
   }
-  std::vector<NodeTableEntry> entries = table_.enquire(rids);
-  std::vector<std::int32_t> children(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].epoch != epoch_) {
-      throw std::logic_error(
-          "NodeTable::enquire: record was not assigned a child this level "
-          "(stale entry)");
-    }
-    children[i] = entries[i].child;
+  // The owner answers with the child alone, or kStaleChild for an entry
+  // another level wrote; the enquirer raises the protocol violation.
+  const std::uint32_t epoch = epoch_;
+  std::vector<std::int32_t> children =
+      table_.enquire(rids, [epoch](const NodeTableEntry& entry) {
+        return entry.epoch == epoch ? entry.child : kStaleChild;
+      });
+  if (std::find(children.begin(), children.end(), kStaleChild) !=
+      children.end()) {
+    throw std::logic_error(
+        "NodeTable::enquire: record was not assigned a child this level "
+        "(stale entry)");
   }
   return children;
 }

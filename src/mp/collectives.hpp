@@ -288,11 +288,13 @@ std::vector<T> allgatherv_concat(Comm& comm, std::span<const T> local) {
 // All-to-all personalized exchange of variable-length chunks: sendbufs[d] is
 // delivered to rank d; the result's element [s] is the chunk received from
 // rank s. This is the core primitive of the parallel hashing paradigm.
+// The send buffers are taken by value and moved into the mailbox, so a
+// caller that passes them with std::move copies no message.
 // ---------------------------------------------------------------------------
 
 template <WireType T>
 std::vector<std::vector<T>> alltoallv(Comm& comm,
-                                      const std::vector<std::vector<T>>& sendbufs) {
+                                      std::vector<std::vector<T>> sendbufs) {
   const int p = comm.size();
   if (static_cast<int>(sendbufs.size()) != p) {
     throw std::invalid_argument("alltoallv: need one send buffer per rank");
@@ -311,10 +313,11 @@ std::vector<std::vector<T>> alltoallv(Comm& comm,
   const int r = comm.rank();
   for (int offset = 1; offset < p; ++offset) {
     const int dst = (r + offset) % p;
-    comm.send<T>(dst, tag, std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]));
+    comm.send<T>(dst, tag, std::move(sendbufs[static_cast<std::size_t>(dst)]));
   }
   std::vector<std::vector<T>> recvbufs(static_cast<std::size_t>(p));
-  recvbufs[static_cast<std::size_t>(r)] = sendbufs[static_cast<std::size_t>(r)];
+  recvbufs[static_cast<std::size_t>(r)] =
+      std::move(sendbufs[static_cast<std::size_t>(r)]);
   std::size_t received = 0;
   for (int offset = 1; offset < p; ++offset) {
     const int src = (r - offset + p) % p;

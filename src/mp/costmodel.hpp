@@ -93,10 +93,13 @@ struct SplitCommModel {
   int cat_cardinality_sum = 0;
   int cat_attrs = 0;
 
-  // Calibrated against bench/level_comm at p in [2, 16]: per active record,
-  // the exact engine's probe/update stream plus split-determination counts
-  // average ~64 bytes on the wire.
-  static constexpr double kExactBytesPerRecord = 64.0;
+  // Calibrated against bench/level_comm at p in [2, 16] (31-34 bytes
+  // measured): per active record, the exact engine's node-table stream —
+  // 4 bytes each way per remote enquiry, 8 per remote update — plus
+  // split-determination counts.
+  static constexpr double kExactBytesPerRecord = 33.0;
+  // Width of a class count on the wire (core::WireCount).
+  static constexpr double kCountBytes = 4.0;
   // sizeof the SplitCandidate min-allreduce payload per node.
   static constexpr double kCandidateBytes = 32.0;
 
@@ -117,14 +120,15 @@ struct SplitCommModel {
   }
 
   // One active node's merged histograms, the part the reduce-scatter moves:
-  // per continuous attribute a (bins x classes) int64 count grid and a
-  // bins-wide double bin-minimum vector; per categorical attribute its
+  // per continuous attribute a (bins x classes) count grid and a bins-wide
+  // double bin-minimum vector; per categorical attribute its
   // (cardinality x classes) count matrix.
   double histogram_node_bytes() const {
     const double cont = static_cast<double>(cont_attrs) *
-                        (static_cast<double>(hist_bins) * classes * 8.0 +
+                        (static_cast<double>(hist_bins) * classes * kCountBytes +
                          static_cast<double>(hist_bins) * 8.0);
-    const double cat = static_cast<double>(cat_cardinality_sum) * classes * 8.0;
+    const double cat =
+        static_cast<double>(cat_cardinality_sum) * classes * kCountBytes;
     return cont + cat;
   }
 
@@ -133,7 +137,7 @@ struct SplitCommModel {
   // that grow the tree.
   double allreduce_node_bytes() const {
     return static_cast<double>(cont_attrs) * 16.0 + kCandidateBytes +
-           2.0 * classes * 8.0;
+           2.0 * classes * kCountBytes;
   }
 
   // Nodes whose histograms the busiest rank sends to their owners: it owns

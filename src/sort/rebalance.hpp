@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mp/collectives.hpp"
@@ -53,7 +54,8 @@ std::vector<T> rebalance(mp::Comm& comm, std::vector<T> local,
   }
   local.clear();
 
-  std::vector<std::vector<T>> recvbufs = mp::alltoallv(comm, sendbufs);
+  std::vector<std::vector<T>> recvbufs =
+      mp::alltoallv(comm, std::move(sendbufs));
   std::vector<T> out;
   out.reserve(target_sizes[static_cast<std::size_t>(comm.rank())]);
   // Sources arrive in rank order, which is global order.

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "data/attribute_list.hpp"
@@ -121,7 +122,8 @@ std::vector<T> sample_sort(mp::Comm& comm, std::vector<T> local, Less less) {
     local.clear();
   }
 
-  std::vector<std::vector<T>> recvbufs = mp::alltoallv(comm, sendbufs);
+  std::vector<std::vector<T>> recvbufs =
+      mp::alltoallv(comm, std::move(sendbufs));
 
   // Concatenate the p sorted runs and merge them.
   std::vector<T> merged;
@@ -261,7 +263,8 @@ inline data::ContinuousColumns sample_sort_columns(mp::Comm& comm,
     }
   }
   local.clear();
-  std::vector<std::vector<std::byte>> recvbufs = mp::alltoallv(comm, sendbufs);
+  std::vector<std::vector<std::byte>> recvbufs =
+      mp::alltoallv(comm, std::move(sendbufs));
 
   // Concatenate the received runs and merge them through an index merge, so
   // each record moves once in the final gather.
@@ -327,7 +330,8 @@ inline data::ContinuousColumns rebalance_columns(
   }
   local.clear();
 
-  std::vector<std::vector<std::byte>> recvbufs = mp::alltoallv(comm, sendbufs);
+  std::vector<std::vector<std::byte>> recvbufs =
+      mp::alltoallv(comm, std::move(sendbufs));
   data::ContinuousColumns out;
   out.reserve(target_sizes[static_cast<std::size_t>(comm.rank())]);
   // Sources arrive in rank order, which is global order.

@@ -149,6 +149,20 @@ commands:
   help       print this message
 )";
 
+// Each command calls this once it has read every flag it accepts, before it
+// does any work: an unread flag is a typo or a removed option, and ignoring
+// it would run something other than what was asked for. Returns true (after
+// naming the flags) when there is one.
+bool reject_unread(const util::CliArgs& args, const char* command,
+                   std::ostream& err) {
+  const std::vector<std::string> unknown = args.unread();
+  if (unknown.empty()) return false;
+  err << command << ": unknown flag";
+  for (const std::string& name : unknown) err << " --" << name;
+  err << " (see scalparc help)\n";
+  return true;
+}
+
 core::InductionControls controls_from(const util::CliArgs& args,
                                       std::ostream& err, bool& ok) {
   core::InductionControls controls;
@@ -231,6 +245,7 @@ int cmd_generate(const util::CliArgs& args, std::ostream& out,
   config.label_noise = args.get_double("noise", 0.0);
   config.num_attributes = static_cast<int>(args.get_int("attributes", 7));
   const auto records = static_cast<std::uint64_t>(args.get_int("records", 10000));
+  if (reject_unread(args, "generate", err)) return 2;
   const data::QuestGenerator generator(config);
   data::write_csv_file(generator.generate(0, records), path);
   out << "wrote " << records << " records to " << path << "\n";
@@ -344,6 +359,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   mp::FaultPlan plan;
   const std::string fault_spec = args.get_string("fault-plan", "");
   const std::string schedule_spec = args.get_string("fault-schedule", "");
+  const auto fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
   if (!fault_spec.empty() && !schedule_spec.empty()) {
     err << "train: --fault-plan and --fault-schedule are mutually exclusive "
            "(a schedule's first segment is the initial run's plan)\n";
@@ -351,7 +367,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   }
   if (!fault_spec.empty()) {
     plan.parse(fault_spec);
-    plan.set_seed(static_cast<std::uint64_t>(args.get_int("fault-seed", 1)));
+    plan.set_seed(fault_seed);
     run_options.fault_plan = &plan;
   }
   mp::FaultSchedule schedule;
@@ -362,7 +378,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     schedule.parse(schedule_spec);
-    schedule.set_seed(static_cast<std::uint64_t>(args.get_int("fault-seed", 1)));
+    schedule.set_seed(fault_seed);
   }
 
   const std::string trace_path = args.get_string("trace-out", "");
@@ -370,14 +386,6 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   if (trace_sample < 1) {
     err << "train: --trace-sample must be >= 1\n";
     return 2;
-  }
-  if (!trace_path.empty()) {
-    util::TraceConfig trace_config;
-    trace_config.sample_every = static_cast<int>(trace_sample);
-    if (!util::TraceCollector::instance().start(trace_config)) {
-      err << "train: --trace-out needs a build with -DSCALPARC_TRACE=ON\n";
-      return 2;
-    }
   }
 
   // Continuous telemetry (off by default; docs/observability.md). The rank
@@ -388,6 +396,17 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
     err << "train: " << bad << "\n";
     return 2;
   }
+  const bool prune = args.get_bool("prune", false);
+  if (reject_unread(args, "train", err)) return 2;
+  if (!trace_path.empty()) {
+    util::TraceConfig trace_config;
+    trace_config.sample_every = static_cast<int>(trace_sample);
+    if (!util::TraceCollector::instance().start(trace_config)) {
+      err << "train: --trace-out needs a build with -DSCALPARC_TRACE=ON\n";
+      return 2;
+    }
+  }
+
   const std::unique_ptr<telemetry::TelemetryExporter> exporter =
       obs.start_exporter();
 
@@ -510,7 +529,7 @@ int cmd_train(const util::CliArgs& args, std::ostream& out, std::ostream& err) {
   out << "tree: " << report.tree.num_nodes() << " nodes, "
       << report.tree.num_leaves() << " leaves, depth " << report.tree.depth()
       << "\n";
-  if (args.get_bool("prune", false)) {
+  if (prune) {
     const core::PruneReport pruned = core::mdl_prune(report.tree);
     out << "pruned: " << pruned.nodes_before << " -> " << pruned.nodes_after
         << " nodes\n";
@@ -529,6 +548,8 @@ int cmd_predict(const util::CliArgs& args, std::ostream& out,
     err << "predict: --model FILE and --data FILE are required\n";
     return 2;
   }
+  const std::string out_path = args.get_string("out", "");
+  if (reject_unread(args, "predict", err)) return 2;
   const core::DecisionTree tree = core::load_tree_file(model_path);
   const data::Dataset dataset = data::read_csv_file(data_path);
   if (!(dataset.schema() == tree.schema())) {
@@ -553,7 +574,6 @@ int cmd_predict(const util::CliArgs& args, std::ostream& out,
                   matrix.precision(cls), matrix.recall(cls), matrix.f1(cls));
     out << line;
   }
-  const std::string out_path = args.get_string("out", "");
   if (!out_path.empty()) {
     std::ofstream predictions(out_path);
     if (!predictions) {
@@ -577,6 +597,8 @@ int cmd_inspect(const util::CliArgs& args, std::ostream& out,
     err << "inspect: --model FILE is required\n";
     return 2;
   }
+  const bool render = args.get_bool("render", false);
+  if (reject_unread(args, "inspect", err)) return 2;
   const core::DecisionTree tree = core::load_tree_file(model_path);
   const data::Schema& schema = tree.schema();
   out << "model: " << model_path << "\n";
@@ -587,18 +609,20 @@ int cmd_inspect(const util::CliArgs& args, std::ostream& out,
   out << "nodes: " << tree.num_nodes() << " (" << tree.num_leaves()
       << " leaves), depth " << tree.depth() << "\n";
   out << "training records seen: " << tree.node(tree.root()).num_records << "\n";
-  if (args.get_bool("render", false)) {
+  if (render) {
     out << "\n" << tree.to_string();
   }
   return 0;
 }
 
-int cmd_bench(const util::CliArgs& args, std::ostream& out, std::ostream&) {
+int cmd_bench(const util::CliArgs& args, std::ostream& out,
+              std::ostream& err) {
   const auto records = static_cast<std::uint64_t>(args.get_int("records", 50000));
   const auto procs = args.get_int_list("procs", {1, 2, 4, 8, 16});
   data::GeneratorConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   config.function = data::parse_label_function(args.get_string("function", "F2"));
+  if (reject_unread(args, "bench", err)) return 2;
   const data::QuestGenerator generator(config);
   out << "records: " << records << "\n";
   out << "procs\tmodeled-s\tspeedup\tMB-sent/rank\tMB-mem/rank\n";

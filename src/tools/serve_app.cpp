@@ -125,11 +125,31 @@ int main(int argc, char** argv) {
     std::fputs("scalparc-serve: --slo-p99-us must be > 0\n", stderr);
     return 2;
   }
+  // Every flag is read before any work: an unread one is unknown to the
+  // tool, and ignoring it would serve something other than what was asked.
+  const std::string swap_path = args.get_string("swap-model", "");
+  const std::string data_path = args.get_string("data", "");
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::string function_name = args.get_string("function", "F2");
+  const auto generated_records =
+      static_cast<std::size_t>(args.get_int("records", 200000));
+  const bool swap_after_given = args.has("swap-after");
+  const bool print_quality = args.get_bool("quality", false);
+  const std::string report_path = args.get_string("report", "");
   // Parsing arms the flight recorder before anything can fail, so error
   // exits always leave a (possibly empty) postmortem document behind.
   tools::ObservabilityFlags obs;
   if (const std::string bad = obs.parse(args, 250); !bad.empty()) {
     std::fprintf(stderr, "scalparc-serve: %s\n", bad.c_str());
+    return 2;
+  }
+  if (const std::vector<std::string> unknown = args.unread();
+      !unknown.empty()) {
+    std::fputs("scalparc-serve: unknown flag", stderr);
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, " --%s", name.c_str());
+    }
+    std::fputs(" (see scalparc-serve --help)\n", stderr);
     return 2;
   }
 
@@ -146,7 +166,6 @@ int main(int argc, char** argv) {
     core::ModelHandle handle(model);
 
     std::shared_ptr<const core::CompiledTree> next_model;
-    const std::string swap_path = args.get_string("swap-model", "");
     if (!swap_path.empty()) {
       const core::DecisionTree next_tree = core::load_tree_file(swap_path);
       if (next_tree.empty() || !(next_tree.schema() == tree.schema())) {
@@ -162,7 +181,6 @@ int main(int argc, char** argv) {
 
     // ---- workload --------------------------------------------------------
     data::Dataset workload;
-    const std::string data_path = args.get_string("data", "");
     if (!data_path.empty()) {
       workload = data::read_csv_file(data_path, ranks);
       if (!(workload.schema() == tree.schema())) {
@@ -173,9 +191,8 @@ int main(int argc, char** argv) {
       }
     } else {
       data::GeneratorConfig config;
-      config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-      config.function =
-          data::parse_label_function(args.get_string("function", "F2"));
+      config.seed = seed;
+      config.function = data::parse_label_function(function_name);
       const data::QuestGenerator generator(config);
       if (!(generator.schema() == tree.schema())) {
         std::fputs(
@@ -185,8 +202,7 @@ int main(int argc, char** argv) {
             stderr);
         return 2;
       }
-      workload = generator.generate(
-          0, static_cast<std::size_t>(args.get_int("records", 200000)));
+      workload = generator.generate(0, generated_records);
     }
     const std::size_t records = workload.num_records();
     if (records == 0) {
@@ -205,7 +221,7 @@ int main(int argc, char** argv) {
     }
     const auto swap_after = static_cast<std::uint64_t>(args.get_int(
         "swap-after", static_cast<std::int64_t>(total_batches / 2)));
-    if (args.has("swap-after") && swap_path.empty()) {
+    if (swap_after_given && swap_path.empty()) {
       std::fputs("scalparc-serve: --swap-after needs --swap-model\n", stderr);
       return 2;
     }
@@ -369,7 +385,7 @@ int main(int argc, char** argv) {
     }
     std::printf("accuracy: %.4f over %lld record(s)\n", quality.accuracy(),
                 static_cast<long long>(quality.total()));
-    if (args.get_bool("quality", false)) {
+    if (print_quality) {
       std::printf("%6s %10s %10s %10s\n", "class", "precision", "recall", "f1");
       for (std::int32_t cls = 0; cls < num_classes; ++cls) {
         std::printf("%6d %10.4f %10.4f %10.4f\n", cls, quality.precision(cls),
@@ -378,7 +394,6 @@ int main(int argc, char** argv) {
     }
 
     // ---- reports ---------------------------------------------------------
-    const std::string report_path = args.get_string("report", "");
     if (!report_path.empty()) {
       Json doc = Json::object();
       doc["format"] = "scalparc-serve-v1";

@@ -33,43 +33,48 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return flags_.count(name) != 0;
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get_string(const std::string& name,
                                 const std::string& default_value) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? default_value : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t default_value) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? default_value
-                            : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* value = find(name);
+  return value == nullptr ? default_value
+                          : std::strtoll(value->c_str(), nullptr, 10);
 }
 
 double CliArgs::get_double(const std::string& name,
                            double default_value) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? default_value
-                            : std::strtod(it->second.c_str(), nullptr);
+  const std::string* value = find(name);
+  return value == nullptr ? default_value : std::strtod(value->c_str(), nullptr);
 }
 
 bool CliArgs::get_bool(const std::string& name, bool default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return default_value;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
 std::vector<std::int64_t> CliArgs::get_int_list(
     const std::string& name,
     const std::vector<std::int64_t>& default_value) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return default_value;
+  const std::string* value = find(name);
+  if (value == nullptr) return default_value;
   std::vector<std::int64_t> values;
-  const std::string& text = it->second;
+  const std::string& text = *value;
   std::size_t start = 0;
   while (start <= text.size()) {
     auto comma = text.find(',', start);
@@ -81,6 +86,14 @@ std::vector<std::int64_t> CliArgs::get_int_list(
     start = comma + 1;
   }
   return values;
+}
+
+std::vector<std::string> CliArgs::unread() const {
+  std::vector<std::string> names;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) == 0) names.push_back(name);
+  }
+  return names;
 }
 
 }  // namespace scalparc::util

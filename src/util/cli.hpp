@@ -1,11 +1,13 @@
 // Tiny command-line flag parser shared by the examples and benches.
 //
 // Supports "--name value" and "--name=value" forms plus boolean switches.
-// Unknown flags are collected so callers can reject or forward them.
+// Every has()/get_*() call marks its flag as read, so once a command has
+// read all the flags it knows, unread() names the ones it does not.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,10 +34,18 @@ class CliArgs {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
+  // Flags given on the command line that no has()/get_*() call has read,
+  // in name order.
+  std::vector<std::string> unread() const;
+
  private:
+  // Looks `name` up and marks it read.
+  const std::string* find(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace scalparc::util

@@ -167,6 +167,74 @@ TEST(Cli, MissingRequiredFlags) {
   EXPECT_EQ(run({"inspect"}).code, 2);
 }
 
+TEST_F(CliWorkflow, UnknownFlagsAreRejectedBeforeAnyWork) {
+  const std::string csv = track(temp_path("cli_unknown.csv"));
+  const std::string model = track(temp_path("cli_unknown.tree"));
+  // Every subcommand names the flag it does not know and exits 2 without
+  // writing its output; `--no-fuse` is a removed train option.
+  const CliResult generate = run({"generate", "--records", "500", "--out", csv,
+                                  "--bogus-flag", "1"});
+  EXPECT_EQ(generate.code, 2);
+  EXPECT_NE(generate.err.find("generate: unknown flag --bogus-flag"),
+            std::string::npos)
+      << generate.err;
+  EXPECT_FALSE(std::filesystem::exists(csv));
+
+  ASSERT_EQ(run({"generate", "--records", "500", "--out", csv}).code, 0);
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--bogus-flag", "1"},
+        std::vector<std::string>{"--no-fuse"},
+        std::vector<std::string>{"--max-depht=4"}}) {
+    std::vector<std::string> argv = {"train", "--data", csv, "--model", model,
+                                     "--ranks", "2"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    const CliResult train = run(argv);
+    EXPECT_EQ(train.code, 2) << extra.front();
+    EXPECT_NE(train.err.find("train: unknown flag " +
+                             extra.front().substr(0, extra.front().find('='))),
+              std::string::npos)
+        << train.err;
+    EXPECT_FALSE(std::filesystem::exists(model));
+  }
+
+  ASSERT_EQ(run({"train", "--data", csv, "--model", model, "--ranks", "2"}).code,
+            0);
+  const CliResult predict =
+      run({"predict", "--model", model, "--data", csv, "--bogus-flag", "1"});
+  EXPECT_EQ(predict.code, 2);
+  EXPECT_NE(predict.err.find("predict: unknown flag --bogus-flag"),
+            std::string::npos);
+  EXPECT_EQ(predict.out, "");
+  const CliResult inspect = run({"inspect", "--model", model, "--rendr"});
+  EXPECT_EQ(inspect.code, 2);
+  EXPECT_NE(inspect.err.find("inspect: unknown flag --rendr"),
+            std::string::npos);
+  EXPECT_EQ(inspect.out, "");
+  const CliResult bench = run({"bench", "--records", "100", "--bogus-flag", "1"});
+  EXPECT_EQ(bench.code, 2);
+  EXPECT_NE(bench.err.find("bench: unknown flag --bogus-flag"),
+            std::string::npos);
+  EXPECT_EQ(bench.out, "");
+}
+
+TEST_F(CliWorkflow, BenchmarkHarnessFlagsAreAccepted) {
+  // The flag sets perfbench passes to `generate` and `train`.
+  const std::string csv = track(temp_path("cli_harness.csv"));
+  const std::string model = track(temp_path("cli_harness.tree"));
+  const CliResult generate =
+      run({"generate", "--records", "1500", "--seed", "7", "--function", "F6",
+           "--noise", "0.05", "--out", csv});
+  ASSERT_EQ(generate.code, 0) << generate.err;
+  const CliResult exact = run({"train", "--data", csv, "--model", model,
+                               "--ranks", "4", "--max-depth", "14"});
+  EXPECT_EQ(exact.code, 0) << exact.err;
+  const CliResult histogram =
+      run({"train", "--data", csv, "--model", model, "--ranks", "4",
+           "--max-depth", "14", "--split-mode", "histogram", "--hist-bins",
+           "64"});
+  EXPECT_EQ(histogram.code, 0) << histogram.err;
+}
+
 TEST(Cli, BadEnumValues) {
   CliResult result = run({"train", "--data", "x.csv", "--model", "m.tree",
                           "--criterion", "nonsense"});

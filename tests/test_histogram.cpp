@@ -186,7 +186,7 @@ TEST(HistogramAccumulate, CountsSumToRecordsAndMinsAreReal) {
       range.lo = std::min(range.lo, v);
       range.hi = std::max(range.hi, v);
     }
-    std::vector<std::int64_t> counts(
+    std::vector<core::WireCount> counts(
         static_cast<std::size_t>(bins * classes), 0);
     std::vector<double> bin_min(static_cast<std::size_t>(bins),
                                 std::numeric_limits<double>::infinity());
@@ -230,8 +230,8 @@ TEST(HistogramSplit, SeparatedClustersSplitAtClusterBoundary) {
     range.lo = std::min(range.lo, v);
     range.hi = std::max(range.hi, v);
   }
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(bins * classes),
-                                   0);
+  std::vector<core::WireCount> counts(
+      static_cast<std::size_t>(bins * classes), 0);
   std::vector<double> bin_min(static_cast<std::size_t>(bins),
                               std::numeric_limits<double>::infinity());
   core::histogram_accumulate(values, cls, range, bins, classes, counts,
@@ -456,7 +456,7 @@ TEST(HistogramInduction, MemoryMeterSeesTheHistograms) {
   // [bin][class] counts + per-bin minima per continuous attribute, and the
   // [value][class] count matrix per categorical one, for the single root.
   const std::size_t level0_histogram_bytes =
-      (cont_cells + cat_cells) * classes * sizeof(std::int64_t) +
+      (cont_cells + cat_cells) * classes * sizeof(core::WireCount) +
       cont_cells * sizeof(double);
   // Depth 1: the root's level is the only one that builds histograms.
   const int p = 4;

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/induction_internal.hpp"
 #include "core/predict.hpp"
 #include "core/scalparc.hpp"
 #include "core/tree_io.hpp"
@@ -376,6 +377,22 @@ TEST(Induction, MinSplitRecordsStopsSmallNodes) {
     if (!node.is_leaf) {
       EXPECT_GE(node.num_records, 100);
     }
+  }
+}
+
+TEST(Induction, FitOfTwoToThe32RecordsIsRejected) {
+  // Node-table slots and histogram counts are 32-bit; the check runs on the
+  // record count alone, before anything is sized.
+  const InductionControls controls;
+  EXPECT_NO_THROW(core::internal::validate_controls(
+      "fit", core::internal::kMaxFitRecords, controls));
+  try {
+    core::internal::validate_controls(
+        "fit", core::internal::kMaxFitRecords + 1, controls);
+    ADD_FAILURE() << "2^32 records accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fewer than 2^32"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <sstream>
 
 #include "core/checkpoint.hpp"
@@ -226,6 +227,11 @@ struct OptionCase {
   core::SplittingStrategy strategy;
   const char* name;
 };
+
+// gtest appends the printed parameter to each listed test name; without
+// this it would dump the struct's raw bytes (padding and a pointer), and
+// the names would change from build to build.
+void PrintTo(const OptionCase& c, std::ostream* os) { *os << c.name; }
 
 class OptionMatrix : public ::testing::TestWithParam<OptionCase> {};
 
